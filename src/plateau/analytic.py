@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import epsilon
 from .linalg import HermitianObservable, _mat, partial_trace
-from .mc import EnsembleSpec, estimate
+from .mc import EnsembleSpec, draw_unitaries, estimate
 from .twirl import DesignConstants
 
 
@@ -128,14 +128,15 @@ def c4_closed(g, D: int, d: int) -> float:
     return 2.0 * (-t1 * t1 + D * d * t2)
 
 
+# both take one matrix or a stack of them
 def _rho_of(u_minus: np.ndarray, D: int, d: int) -> np.ndarray:
     p0 = np.zeros((d, d), dtype=complex)
     p0[0, 0] = 1.0
-    return u_minus.conj().T @ np.kron(np.eye(D), p0) @ u_minus
+    return u_minus.conj().swapaxes(-1, -2) @ np.kron(np.eye(D), p0) @ u_minus
 
 
 def _sigma_of(u_plus: np.ndarray, o: np.ndarray, D: int) -> np.ndarray:
-    return u_plus @ np.kron(np.eye(D), o) @ u_plus.conj().T
+    return u_plus @ np.kron(np.eye(D), o) @ u_plus.conj().swapaxes(-1, -2)
 
 
 def _integrand(name: str, u: np.ndarray, g: np.ndarray, o, D: int, d: int) -> float:
@@ -160,6 +161,41 @@ def _integrand(name: str, u: np.ndarray, g: np.ndarray, o, D: int, d: int) -> fl
     else:
         raise ValueError(f"unknown constant {name!r}")
     return float(val.real)
+
+
+def _bond_trace(m: np.ndarray, D: int, d: int) -> np.ndarray:
+    # partial_trace(m, [D, d], {1}) over a stack m[B]
+    return np.trace(m.reshape(-1, D, d, D, d), axis1=1, axis2=3)
+
+
+def _integrands(name: str, u: np.ndarray, g: np.ndarray, o, D: int, d: int) -> np.ndarray:
+    """_integrand over a stack u[B] of draws: the same products in the same
+    order, so each value is bitwise the per-draw one."""
+
+    def tr(x):
+        return np.trace(x, axis1=-2, axis2=-1)
+
+    uh = u.conj().swapaxes(-1, -2)
+    if name == "c1":
+        m = _bond_trace(uh @ g @ u, D, d)
+        val = -tr(m @ m) + D * np.trace(g @ g)
+    elif name in ("c2", "c3"):
+        rho = _rho_of(u, D, d)
+        if name == "c2":
+            val = -tr(rho @ g @ rho @ g) + tr(g @ g @ rho @ rho)
+        else:
+            val = -np.power(tr(rho @ g), 2) + D * tr(rho @ g @ g)
+    elif name == "c5":
+        sigma = _sigma_of(u, _mat(o), D)
+        val = tr(sigma @ g @ (g @ sigma - sigma @ g))
+    elif name == "c6":
+        om = _mat(o)
+        m1 = _bond_trace(uh @ g @ u, D, d)
+        m2 = _bond_trace(uh @ g @ g @ u, D, d)
+        val = -tr(m1 @ om @ m1 @ om) + D * tr(m2 @ om @ om)
+    else:
+        raise ValueError(f"unknown constant {name!r}")
+    return val.real
 
 
 def c_constants_mc(
@@ -191,8 +227,8 @@ def c_constants_mc(
 
     out = {"c4": ConstantEstimate(c4_closed(g, D, d), 0.0, 0, "closed_form")}
     for name in need:
-        def sampler(index: int, rng: np.random.Generator, _name=name) -> float:
-            return _integrand(_name, ensemble.draw(rng), g, o, D, d)
+        def sampler(indices, rngs, _name=name) -> np.ndarray:
+            return _integrands(_name, draw_unitaries((ensemble,), rngs)[0], g, o, D, d)
 
         r = estimate(sampler, samples, seed, workers)
         out[name] = ConstantEstimate(2.0 * r.mean, 2.0 * r.stderr_mean, samples, "monte_carlo")

@@ -85,23 +85,29 @@ class TransferMatrix:
 
 
 def site_tensor(gate, D: int, d: int) -> np.ndarray:
-    """Site tensors A[s, a, b] = <b (x) s| U |a (x) 0>, bond index first."""
+    """Site tensors A[s, a, b] = <b (x) s| U |a (x) 0>, bond index first.
+
+    Leading axes of a stack of gates are kept: (..., Dd, Dd) -> (..., d, D, D).
+    """
     u = _mat(gate)
-    if u.shape != (D * d, D * d):
+    if u.shape[-2:] != (D * d, D * d):
         raise ValueError(f"gate must be {D * d}x{D * d}")
     # rows (b, s), columns (a, 0)
-    return u.reshape(D, d, D, d)[:, :, :, 0].transpose(1, 2, 0)
+    lead = u.ndim - 2
+    t = u.reshape(*u.shape[:-2], D, d, D, d)[..., 0]
+    return t.transpose(*range(lead), lead + 1, lead + 2, lead)
 
 
 def _transfer_from_tensors(a_ket: np.ndarray, a_bra: np.ndarray, obs) -> np.ndarray:
-    d, D, _ = a_ket.shape
+    # leading axes of the tensors (and of obs, if stacked) are kept
+    D = a_ket.shape[-1]
     if obs is None:
-        e = np.einsum("sab,scd->acbd", a_ket, a_bra.conj())
+        e = np.einsum("...sab,...scd->...acbd", a_ket, a_bra.conj())
     else:
         o = _mat(obs)
         # ket leg rides the column index of O, bra leg the row index
-        e = np.einsum("st,tab,scd->acbd", o, a_ket, a_bra.conj())
-    return e.reshape(D * D, D * D)
+        e = np.einsum("...st,...tab,...scd->...acbd", o, a_ket, a_bra.conj())
+    return e.reshape(*e.shape[:-4], D * D, D * D)
 
 
 def transfer(gate, obs, D: int, d: int) -> TransferMatrix:
@@ -191,6 +197,32 @@ def grad_site(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int) -> float:
     """
     _check_site(m, site_m, o)
     return 2.0 * _ring_trace(_grad_transfers(m, dec, o, site_m)).real
+
+
+def grad_ring(deriv: np.ndarray, gate: np.ndarray, sites: np.ndarray, o, site_m: int,
+              D: int, d: int) -> np.ndarray:
+    """``grad_site`` for a batch of rings, with the derivative on site 0.
+
+    deriv and gate, (B, Dd, Dd): site 0's u_minus (-i g) u_plus and
+    u_minus u_plus; sites, (B, n-1, Dd, Dd): the gates of sites 1..n-1;
+    o, (d, d) or (B, d, d): the observable at site_m.  Each value is the
+    product grad_site forms, in its left-to-right order, so it is bitwise
+    the per-sample value.
+    """
+    n = sites.shape[1] + 1
+    if not 0 <= site_m < n:
+        raise IndexError(f"observable site {site_m} outside [0, {n})")
+    acc = _transfer_from_tensors(
+        site_tensor(deriv, D, d), site_tensor(gate, D, d), o if site_m == 0 else None
+    )
+    a = site_tensor(sites, D, d)
+    mats = _transfer_from_tensors(a, a, None)
+    if site_m > 0:
+        k = site_m - 1
+        mats[:, k] = _transfer_from_tensors(a[:, k], a[:, k], o)
+    for k in range(n - 1):
+        acc = acc @ mats[:, k]
+    return 2.0 * np.trace(acc, axis1=-2, axis2=-1).real
 
 
 def grad_fd(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int, h: float = 1e-5) -> float:

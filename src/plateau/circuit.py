@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, UnitaryGate, _mat, haar_unitary
-from .mc import EstimateResult, estimate
+from .linalg import HermitianObservable, UnitaryGate, _mat, check_unitary
+from .mc import EnsembleSpec, EstimateResult, draw_unitaries, estimate
 
 QUBIT_CAP = 12
 
@@ -68,21 +68,29 @@ def brick_supports(n_qubits: int, n_layers: int) -> tuple:
 
 
 def apply_gate(state: np.ndarray, gate, support: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Apply a 2^k-dimensional matrix to the given qubits of a statevector."""
+    """Apply a 2^k-dimensional matrix to the given qubits of a statevector.
+
+    A leading batch axis is allowed: state (B, 2^n) with gate (2^k, 2^k)
+    or (B, 2^k, 2^k) applies each slice's gate to that slice's state.
+    Each slice is one matrix product, bitwise the unbatched result.
+    """
     k = len(support)
-    g = _mat(gate).reshape((2,) * (2 * k))
-    psi = state.reshape((2,) * n_qubits)
-    out = np.tensordot(g, psi, axes=(range(k, 2 * k), support))
-    return np.moveaxis(out, range(k), support).reshape(-1)
+    g = _mat(gate)
+    lead = state.shape[:-1]
+    psi = state.reshape(*lead, *(2,) * n_qubits)
+    nl = len(lead)
+    first = [nl + q for q in support]
+    rest = [nl + q for q in range(n_qubits) if q not in support]
+    cols = psi.transpose(*range(nl), *first, *rest).reshape(*lead, 2**k, -1)
+    out = (g @ cols).reshape(*lead, *(2,) * n_qubits)
+    return np.moveaxis(out, range(nl, nl + k), first).reshape(*lead, -1)
 
 
-def _run(c: LayeredCircuit, override: Optional[tuple] = None) -> np.ndarray:
-    psi = np.zeros(2**c.n_qubits, dtype=complex)
-    psi[0] = 1.0
-    for i, (g, s) in enumerate(c.gates):
-        if override is not None and i == override[0]:
-            g = override[1]
-        psi = apply_gate(psi, g, s, c.n_qubits)
+def _run(n_qubits: int, gates: Sequence, supports: Sequence, lead: tuple = ()) -> np.ndarray:
+    psi = np.zeros((*lead, 2**n_qubits), dtype=complex)
+    psi[..., 0] = 1.0
+    for g, s in zip(gates, supports):
+        psi = apply_gate(psi, g, s, n_qubits)
     return psi
 
 
@@ -98,15 +106,17 @@ def _check_obs(c: LayeredCircuit, o_a, a: Sequence[int]) -> tuple:
 
 
 def expectation(psi: np.ndarray, o_a, a: Sequence[int], n_qubits: int,
-                phi: Optional[np.ndarray] = None) -> complex:
+                phi: Optional[np.ndarray] = None):
+    """<phi| O_A |psi> (phi defaults to psi); an array of values for a batch."""
     opsi = apply_gate(psi, o_a, a, n_qubits)
-    return complex(np.vdot(phi if phi is not None else psi, opsi))
+    val = np.vecdot(phi if phi is not None else psi, opsi)
+    return complex(val) if val.ndim == 0 else val
 
 
 def circuit_cost(c: LayeredCircuit, o_a, a: Sequence[int]) -> float:
     """<0...0| U^dag (O_A (x) I) U |0...0> by statevector simulation."""
     a = _check_obs(c, o_a, a)
-    val = expectation(_run(c), o_a, a, c.n_qubits)
+    val = expectation(_run(c.n_qubits, [g for g, _ in c.gates], c.supports), o_a, a, c.n_qubits)
     assert abs(val.imag) < 1e-10 * (1.0 + abs(val.real))
     return val.real
 
@@ -119,8 +129,10 @@ def circuit_grad(c: LayeredCircuit, dcv: CircuitDerivative, o_a, a: Sequence[int
     um, up = _mat(dcv.u_minus), _mat(dcv.u_plus)
     if um.shape != (2 ** len(c.gates[dcv.layer][1]),) * 2:
         raise ValueError("derivative split dim must match its layer")
-    psi = _run(c, override=(dcv.layer, um @ up))
-    dpsi = _run(c, override=(dcv.layer, um @ (-1j * _mat(dcv.v_k)) @ up))
+    gates = [g for g, _ in c.gates]
+    psi = _run(c.n_qubits, gates[: dcv.layer] + [um @ up] + gates[dcv.layer + 1 :], c.supports)
+    gates[dcv.layer] = um @ (-1j * _mat(dcv.v_k)) @ up
+    dpsi = _run(c.n_qubits, gates, c.supports)
     return 2.0 * expectation(dpsi, o_a, a, c.n_qubits, phi=psi).real
 
 
@@ -172,20 +184,21 @@ def circuit_variance_mc(
     if _mat(v_k).shape != (dim_k, dim_k):
         raise ValueError("v_k dim must match the derivative layer")
     v_obs = v_k if isinstance(v_k, HermitianObservable) else HermitianObservable(v_k)
+    minus_iv = -1j * v_obs.matrix
+    o_a = _mat(o_a)
+    # draw order: one gate per support, the derivative layer's u_minus then u_plus
+    specs = [EnsembleSpec.haar(2 ** len(s)) for s in supports]
+    specs.insert(layer, specs[layer])
 
-    def sampler(index: int, rng: np.random.Generator) -> float:
-        gates = []
-        split = None
-        for i, s in enumerate(supports):
-            if i == layer:
-                um = haar_unitary(dim_k, rng)
-                up = haar_unitary(dim_k, rng)
-                split = (um, up)
-                gates.append((UnitaryGate(_mat(um) @ _mat(up)), s))
-            else:
-                gates.append((haar_unitary(2 ** len(s), rng), s))
-        c = LayeredCircuit(c_template.n_qubits, tuple(gates), c_template.observable_layer)
-        dcv = CircuitDerivative(layer, split[0], v_obs, split[1])
-        return circuit_grad(c, dcv, o_a, a)
+    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        drawn = draw_unitaries(specs, rngs)
+        um, up = drawn[layer], drawn[layer + 1]
+        gate = um @ up
+        check_unitary(gate)
+        gates = drawn[:layer] + [gate] + drawn[layer + 2 :]
+        psi = _run(c_template.n_qubits, gates, supports, (len(rngs),))
+        gates[layer] = um @ minus_iv @ up
+        dpsi = _run(c_template.n_qubits, gates, supports, (len(rngs),))
+        return 2.0 * expectation(dpsi, o_a, a, c_template.n_qubits, phi=psi).real
 
     return estimate(sampler, samples, seed, workers)

@@ -69,27 +69,34 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _as_int(x, name: str) -> int:
+def _as_int(x, name: str, lo: Optional[int] = None) -> int:
     try:
-        return int(str(x), 10)
+        v = int(str(x), 10)
     except ValueError as exc:
         raise ConfigError(f"{name} must be an integer, got {x!r}") from exc
+    if lo is not None and v < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {v}")
+    return v
 
 
-def _parse_range(x, name: str) -> list[int]:
+def _parse_range(x, name: str, lo: int) -> list[int]:
     s = str(x)
     parts = s.split(":")
+    out = None
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
+            out = [int(parts[0])]
+        elif len(parts) == 2:
+            first, last = int(parts[0]), int(parts[1])
+            if last >= first:
+                out = list(range(first, last + 1))
     except ValueError:
         pass
-    raise ConfigError(f"{name} must be N or LO:HI, got {s!r}")
+    if out is None:
+        raise ConfigError(f"{name} must be N or LO:HI, got {s!r}")
+    if out[0] < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {s!r}")
+    return out
 
 
 def _parse_generator(spec: str, dim: int) -> np.ndarray:
@@ -129,7 +136,7 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
     raise ConfigError(f"unknown observable spec {spec!r}")
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(path: Optional[str], keys: set) -> dict:
     if not path:
         return {}
     out = {}
@@ -142,7 +149,10 @@ def _load_config(path: Optional[str]) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected key=value")
                 key, _, val = line.partition("=")
-                out[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in keys:
+                    raise ConfigError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
+                out[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
@@ -150,7 +160,8 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
-    cfg.update(_load_config(getattr(args, "config", None)))
+    keys = set(vars(args)) - {"command", "config"}
+    cfg.update(_load_config(getattr(args, "config", None), keys))
     for key, val in vars(args).items():
         if key in ("config",) or val is None:
             continue
@@ -255,11 +266,11 @@ def run_identities(cfg: dict) -> int:
     which = str(cfg["which"])
     if which not in ("twirl", "tree", "otree", "all"):
         raise ConfigError(f"--which must be twirl|tree|otree|all, got {which!r}")
-    D, d = _as_int(cfg["D"], "D"), _as_int(cfg["d"], "d")
+    D, d = _as_int(cfg["D"], "--D"), _as_int(cfg["d"], "--d", 1)
     if D < 2:
         raise ConfigError("diagram checks need D >= 2")
-    samples = _as_int(cfg["samples"], "samples")
-    seed = _as_int(cfg["seed"], "seed")
+    samples = _as_int(cfg["samples"], "--samples", 2)
+    seed = _as_int(cfg["seed"], "--seed", 0)
     started = time.perf_counter()
     rows = _identity_checks(which, D, d, samples, seed)
     ok = all(r[4] for r in rows)
@@ -292,15 +303,15 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     cost = str(cfg["cost"])
     if cost not in ("fixed", "xeb", "xent"):
         raise ConfigError(f"--cost must be fixed|xeb|xent, got {cost!r}")
-    D, d = _as_int(cfg["D"], "D"), _as_int(cfg["d"], "d")
+    D, d = _as_int(cfg["D"], "--D", 1), _as_int(cfg["d"], "--d", 2)
     if cost != "fixed" and d != 2:
         raise ConfigError("target-derived costs need d = 2")
-    ns = _parse_range(cfg["n"], "--n")
-    samples = _as_int(cfg["samples"], "samples")
-    const_samples = _as_int(cfg["const_samples"], "const-samples")
-    seed = _as_int(cfg["seed"], "seed")
-    workers = _as_int(cfg["workers"], "workers")
-    delta = None if case.onsite else _as_int(cfg["delta"], "delta")
+    ns = _parse_range(cfg["n"], "--n", 2)
+    samples = _as_int(cfg["samples"], "--samples", 2)
+    const_samples = _as_int(cfg["const_samples"], "--const-samples", 2)
+    seed = _as_int(cfg["seed"], "--seed", 0)
+    workers = _as_int(cfg["workers"], "--workers", 1)
+    delta = None if case.onsite else _as_int(cfg["delta"], "--delta")
     g = HermitianObservable(_parse_generator(str(cfg["generator"]), D * d))
     partner = str(cfg["partner_ensemble"])
     if partner not in ("haar", "pauli"):
@@ -309,18 +320,24 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
         "partner": EnsembleSpec.haar(D * d) if partner == "haar" else EnsembleSpec.pauli_group(D * d)
     }
 
-    rows, points = [], []
     for n in ns:
         if not case.onsite and not 1 <= (delta or 0) <= n - 1:
             raise ConfigError(f"off-site case needs 1 <= delta <= n-1 (n={n})")
+        if case is VarianceCase.OFFSITE_PLUS and delta > n - 2:
+            raise ConfigError(f"offsite-plus needs 1 <= delta <= n-2 (n={n})")
+    if cost == "fixed":
+        o = HermitianObservable(_parse_observable(str(cfg["o"]), d))
+        # the constants do not depend on n: one estimate serves the sweep
+        needs_mc = any(c != "c4" for c in CASE_CONSTANTS[case])
+        cc = c_constants_mc(
+            case, g.matrix, o.matrix, D, d, ens["partner"] if needs_mc else None,
+            const_samples, seed, workers,
+        )
+
+    rows, points = [], []
+    for n in ns:
         if cost == "fixed":
-            o = HermitianObservable(_parse_observable(str(cfg["o"]), d))
             vq = VarianceQuery(case, n, D, d, g, o, delta)
-            needs_mc = any(c != "c4" for c in CASE_CONSTANTS[case])
-            cc = c_constants_mc(
-                case, g.matrix, o.matrix, D, d, ens["partner"] if needs_mc else None,
-                const_samples, seed, workers,
-            )
             analytic_val = variance_formula(vq, cc)
             eps_val, eps_prov, eps_se = epsilon(o.matrix, d), "analytic", None
             o_builder = o.matrix
@@ -397,10 +414,10 @@ def _haar_epsilon_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     cost = str(cfg["cost"])
     if cost not in ("xeb", "xent"):
         raise ConfigError(f"--cost must be xeb|xent, got {cost!r}")
-    ns = _parse_range(cfg["n"], "--n")
-    samples = _as_int(cfg["samples"], "samples")
-    seed = _as_int(cfg["seed"], "seed")
-    workers = _as_int(cfg["workers"], "workers")
+    ns = _parse_range(cfg["n"], "--n", 1)
+    samples = _as_int(cfg["samples"], "--samples", 2)
+    seed = _as_int(cfg["seed"], "--seed", 0)
+    workers = _as_int(cfg["workers"], "--workers", 1)
     rows, points = [], []
     for n in ns:
         r = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
@@ -471,14 +488,14 @@ def _load_layout(path: str) -> tuple[int, list[tuple]]:
 def run_circuit(cfg: dict) -> int:
     started = time.perf_counter()
     layout = str(cfg["layout"])
-    samples = _as_int(cfg["samples"], "samples")
-    seed = _as_int(cfg["seed"], "seed")
-    workers = _as_int(cfg["workers"], "workers")
+    samples = _as_int(cfg["samples"], "--samples", 2)
+    seed = _as_int(cfg["seed"], "--seed", 0)
+    workers = _as_int(cfg["workers"], "--workers", 1)
     if layout == "brick":
-        n_qubits = _as_int(cfg["qubits"], "qubits")
-        supports = list(brick_supports(n_qubits, _as_int(cfg["layers"], "layers")))
+        n_qubits = _as_int(cfg["qubits"], "--qubits", 2)
+        supports = list(brick_supports(n_qubits, _as_int(cfg["layers"], "--layers", 1)))
     elif layout == "fullsingle":
-        n_qubits = _as_int(cfg["qubits"], "qubits")
+        n_qubits = _as_int(cfg["qubits"], "--qubits", 1)
         supports = [tuple(range(n_qubits))]
     elif layout == "file":
         if not cfg.get("layout_file"):
@@ -654,9 +671,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "haar-epsilon": run_haar_epsilon,
         "circuit": run_circuit,
     }
-    cfg = _resolve(args, _DEFAULTS[args.command])
     try:
-        return handlers[args.command](cfg)
+        return handlers[args.command](_resolve(args, _DEFAULTS[args.command]))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

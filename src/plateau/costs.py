@@ -14,14 +14,15 @@ controls every gradient variance downstream.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, _mat, haar_state
-from .mc import EstimateResult, estimate
+from .linalg import HermitianObservable, _mat, haar_state, haar_state_from_gaussian
+from .mc import EstimateResult, estimate, fresh_stream
 
 P_FLOOR = 1e-30
 
@@ -79,14 +80,19 @@ def p_first_qubit(v, n: int) -> OutputDistribution:
     return OutputDistribution((p0 / tot, 1.0 - p0 / tot))
 
 
-def epsilon(o, d: int) -> float:
-    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d."""
+def epsilon(o, d: int):
+    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d.
+
+    A stack o[..., d, d] gives an array of values, one per matrix.
+    """
     o = _mat(o)
-    if o.shape != (d, d):
+    if o.shape[-2:] != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
-    t1 = np.trace(o).real
-    t2 = np.trace(o @ o).real
-    return max(float(t2 - t1 * t1 / d), 0.0)
+    t1 = np.trace(o, axis1=-2, axis2=-1).real
+    t2 = np.trace(o @ o, axis1=-2, axis2=-1).real
+    if o.ndim == 2:
+        return max(float(t2 - t1 * t1 / d), 0.0)
+    return np.maximum(t2 - t1 * t1 / d, 0.0)
 
 
 def _clamp(p: float, context: str) -> tuple[float, bool]:
@@ -150,6 +156,35 @@ def _kind_of(kind) -> CostKind:
     return CostKind(str(kind))
 
 
+def _haar_target_probs(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """First-qubit marginals (B, 2) of one Haar target state per stream.
+
+    Each stream makes haar_state(2**n, rng)'s draws; normalization and the
+    marginals run stacked, with p_first_qubit's operations, so each row is
+    bitwise p_first_qubit(haar_state(2**n, rng), n).probs.
+    """
+    dim = 2**n
+    normals = np.empty((len(rngs), 2, dim))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[b])
+    states, bad = haar_state_from_gaussian(normals[:, 0] + 1j * normals[:, 1])
+    for b in np.flatnonzero(bad):
+        states[b] = haar_state(dim, fresh_stream(rngs[b]))
+    amps = np.abs(states.reshape(len(rngs), 2, -1)) ** 2
+    p0 = amps[:, 0].sum(axis=-1) / amps.reshape(len(rngs), -1).sum(axis=-1)
+    if np.any(p0 < -1e-12) or np.any(p0 > 1 + 1e-12):
+        raise ValueError("need two probabilities in [0, 1]")
+    return np.stack([p0, 1.0 - p0], axis=-1)
+
+
+def _diag_stack(vals: np.ndarray) -> np.ndarray:
+    # (B, k) -> (B, k, k) complex diagonal matrices
+    count, k = vals.shape
+    out = np.zeros((count, k, k), dtype=complex)
+    out[:, np.arange(k), np.arange(k)] = vals
+    return out
+
+
 def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1) -> EstimateResult:
     """Sample mean of epsilon(O_kind(V)) over Haar targets.
 
@@ -160,15 +195,16 @@ def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1)
     kind = _kind_of(kind)
     if kind is CostKind.GENERIC:
         raise ValueError("only target-derived kinds have a Haar average")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
-    def sampler(index: int, rng: np.random.Generator) -> float:
-        vec = haar_state(2**n, rng)
+    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        p = _haar_target_probs(n, rngs)
         if kind is CostKind.LINEAR_XEB:
-            return epsilon(observable_xeb(vec, n).matrix, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClampWarning)
-            obs = observable_xent(vec, n)
-        return np.nan if obs.clamped else epsilon(obs.matrix, 2)
+            return epsilon(_diag_stack(2.0 * p - 1.0), 2)
+        clamped = np.any(p < P_FLOOR, axis=-1)
+        eps = epsilon(_diag_stack(-np.log(np.maximum(p, P_FLOOR))), 2)
+        return np.where(clamped, np.nan, eps)
 
     return estimate(sampler, samples, seed, workers)
 
@@ -179,12 +215,15 @@ def trace_oe_sq_mc(n: int, samples: int, seed: int, workers: int = 1) -> Estimat
     Shares the per-index streams of ``haar_avg_epsilon_mc``, so the same
     seed sees the same targets.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
-    def sampler(index: int, rng: np.random.Generator) -> float:
-        vec = haar_state(2**n, rng)
-        p = p_first_qubit(vec, n)
-        if min(p.probs) < P_FLOOR:
-            return np.nan
-        return np.log(p.probs[0]) ** 2 + np.log(p.probs[1]) ** 2
+    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        p = _haar_target_probs(n, rngs)
+        logs = np.log(np.maximum(p, P_FLOOR))
+        # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
+        # round differently in the last place on some inputs
+        sq = np.array([math.pow(x, 2) for x in logs.ravel().tolist()]).reshape(logs.shape)
+        return np.where(np.any(p < P_FLOOR, axis=-1), np.nan, sq[:, 0] + sq[:, 1])
 
     return estimate(sampler, samples, seed, workers)

@@ -16,11 +16,25 @@ import numpy as np
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+RANK_TOL = 1e-12  # |R_ii| at or below this marks a rank-deficient Ginibre draw
 
 
 def _mat(x) -> np.ndarray:
     """Return the underlying complex ndarray of ``x`` (array or wrapper)."""
     return np.asarray(getattr(x, "matrix", x), dtype=complex)
+
+
+def check_unitary(u: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack ``u[..., :, :]`` is
+    finite with ``max|U U^dag - I| <= 1e-10``; one test for the whole stack."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("unitary has non-finite entries")
+    if u.size:
+        dev = u @ u.conj().swapaxes(-1, -2)
+        dev -= np.eye(u.shape[-1])
+        err = np.max(np.abs(dev))
+        if err > UNITARY_TOL:
+            raise ValueError(f"matrix is not unitary (max deviation {err:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,11 +51,7 @@ class UnitaryGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("unitary must be a square matrix")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("unitary has non-finite entries")
-        err = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        if err > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (max deviation {err:.3e})")
+        check_unitary(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -108,27 +118,59 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return t.reshape(kd, kd)
 
 
+def haar_from_ginibre(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Haar unitaries from a stack ``z[..., n, n]`` of complex Ginibre matrices.
+
+    QR decomposition of each matrix, with the diagonal of R divided out by
+    its phases.  Without that phase correction the QR output is unitary but
+    not Haar distributed; with it the distribution is exactly the Haar
+    measure on U(n).
+
+    Returns ``(q, bad)``.  ``bad[...]`` marks numerically rank-deficient
+    draws (some |R_ii| <= RANK_TOL, probability zero); their ``q`` is
+    garbage and the caller redraws them.  Every other ``q`` has passed
+    ``check_unitary``.  A stack gives bitwise the matrices that one call
+    per matrix would give.
+    """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mags = np.abs(diag)
+    bad = ~np.all(mags > RANK_TOL, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = q * (diag / mags)[..., None, :]
+    check_unitary(q[~bad] if bad.any() else q)
+    return q, bad
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
     """Draw a Haar-distributed random unitary of the given dimension.
 
-    QR decomposition of a complex Ginibre matrix, with the diagonal of R
-    divided out by its phases.  Without that phase correction the QR
-    output is unitary but not Haar distributed; with it the distribution
-    is exactly the Haar measure on U(dim).
-
-    A numerically rank-deficient Ginibre draw (probability zero) is
-    redrawn.
+    ``haar_from_ginibre`` on one Ginibre matrix; a numerically
+    rank-deficient draw (probability zero) is redrawn from the same stream.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     while True:
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        if np.all(np.abs(diag) > 1e-12):
-            break
-    q = q * (diag / np.abs(diag))
-    return UnitaryGate(q)
+        q, bad = haar_from_ginibre(z)
+        if not bad:
+            return UnitaryGate(q)
+
+
+def haar_state_from_gaussian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize a stack ``v[..., dim]`` of complex Gaussian vectors.
+
+    Returns ``(states, bad)``; ``bad[...]`` marks vectors of norm <= 1e-12
+    (probability zero), which the caller redraws.  The norm is the one
+    ``np.linalg.norm`` computes, so a stack gives bitwise the states that
+    one call per vector would give.
+    """
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    nrm = np.sqrt(sq[..., 0, 0])
+    bad = ~(nrm > 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v / nrm[..., None], bad
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,9 +184,9 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dim must be >= 1")
     while True:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            return v / nrm
+        state, bad = haar_state_from_gaussian(v)
+        if not bad:
+            return state
 
 
 def gue_hermitian(dim: int, rng: np.random.Generator) -> HermitianObservable:

@@ -3,8 +3,12 @@
 Every sample is computed from its own random stream derived from
 (master seed, sample index), so the set of sampled values is a pure
 function of (seed, samples) and worker scheduling cannot change it.
-The reduction is always performed serially in index order with exact
-summation, which makes results bitwise identical across worker counts.
+Samplers see the indices in fixed batches of ``BATCH``: each index makes
+its draws from its own stream, and everything after the draws runs as
+stacked numpy operations over the batch.  Worker threads take whole
+batches.  The reduction is always performed serially in index order with
+exact summation, which makes results bitwise identical across worker
+counts.
 """
 
 from __future__ import annotations
@@ -12,14 +16,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, UnitaryGate, _mat, haar_unitary
-from .ansatz import MpsAnsatz, SiteDecomposition, grad_site
+from .linalg import (
+    HermitianObservable,
+    UnitaryGate,
+    _mat,
+    check_unitary,
+    haar_from_ginibre,
+    haar_unitary,
+)
+from .ansatz import grad_ring
 
 JACKKNIFE_BLOCKS = 100
+# indices per sampler call; a constant, so that batch boundaries, and with
+# them every sampled value, never depend on the worker count
+BATCH = 32
 
 # matching §-free names for the six sampling geometries; module analytic
 # attaches the closed forms to the same strings
@@ -97,18 +111,25 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def estimate(
-    sampler: Callable[[int, np.random.Generator], float],
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> EstimateResult:
+def fresh_stream(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator at the start of ``rng``'s per-index stream."""
+    return np.random.default_rng(rng.bit_generator.seed_seq)
+
+
+Sampler = Callable[[np.ndarray, Sequence[np.random.Generator]], np.ndarray]
+
+
+def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> EstimateResult:
     """Mean/variance of sampler over its per-index random streams.
 
-    sampler(index, rng) must be pure given (index, seed): rng is derived
-    from (seed, index) only.  A NaN return excludes that sample (counted
-    in ``excluded``).  Variance is the unbiased estimator; its standard
-    error comes from a delete-one-block jackknife over up to 100 blocks.
+    ``sampler(indices, rngs)`` gets one batch of consecutive indices (at
+    most ``BATCH``) with one generator per index, derived from (seed,
+    index) only, and returns one value per index.  Each value must be a
+    pure function of its own index and stream.  Batches are cut at
+    multiples of ``BATCH``; with ``workers`` > 1 each thread takes whole
+    batches.  A NaN value excludes that sample (counted in ``excluded``).
+    Variance is the unbiased estimator; its standard error comes from a
+    delete-one-block jackknife over up to 100 blocks.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -119,16 +140,20 @@ def estimate(
 
     values = np.empty(samples)
 
-    def run_range(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            values[k] = sampler(k, _sample_rng(seed, k))
+    def run_batch(lo: int) -> None:
+        indices = np.arange(lo, min(lo + BATCH, samples))
+        out = np.asarray(sampler(indices, [_sample_rng(seed, int(k)) for k in indices]), dtype=float)
+        if out.shape != indices.shape:
+            raise ValueError(f"sampler returned shape {out.shape} for {len(indices)} indices")
+        values[indices] = out
 
+    starts = range(0, samples, BATCH)
     if workers > 1:
-        bounds = np.linspace(0, samples, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda p: run_range(p[0], p[1]), zip(bounds[:-1], bounds[1:])))
+            list(pool.map(run_batch, starts))
     else:
-        run_range(0, samples)
+        for lo in starts:
+            run_batch(lo)
 
     keep = ~np.isnan(values)
     excluded = int(samples - keep.sum())
@@ -178,6 +203,62 @@ def estimate(
     )
 
 
+def draw_unitaries(
+    specs: Sequence[EnsembleSpec],
+    rngs: Sequence[np.random.Generator],
+    before: Optional[Callable[[int, np.random.Generator], None]] = None,
+) -> list[np.ndarray]:
+    """One (len(rngs), dim, dim) stack of unitaries per spec.
+
+    Per-index draw loop: index b calls ``before(b, rngs[b])`` if given,
+    then makes exactly the draws ``spec.draw`` would make for each spec in
+    turn (a Haar spec: its real, then its imaginary Ginibre normals).
+    After the loop, one ``haar_from_ginibre`` call per dimension does
+    every QR and phase fix, and the non-Haar draws get the same stacked
+    unitarity check.  An index with a rank-deficient Haar draw (probability
+    zero) is drawn again from the start of its stream through
+    ``spec.draw``, which keeps ``haar_unitary``'s redraw semantics.
+    """
+    count = len(rngs)
+    slots: dict[int, tuple[int, int]] = {}  # Haar spec -> (dim, slot in its dim's block)
+    blocks: dict[int, int] = {}
+    for j, spec in enumerate(specs):
+        if spec.kind == "haar":
+            slots[j] = (spec.dim, blocks.get(spec.dim, 0))
+            blocks[spec.dim] = slots[j][1] + 1
+    normals = {dim: np.empty((count, k, 2, dim, dim)) for dim, k in blocks.items()}
+    others = {j: np.empty((count, spec.dim, spec.dim), dtype=complex)
+              for j, spec in enumerate(specs) if j not in slots}
+    for b, rng in enumerate(rngs):
+        if before is not None:
+            before(b, rng)
+        for j, spec in enumerate(specs):
+            if j in slots:
+                dim, slot = slots[j]
+                rng.standard_normal(out=normals[dim][b, slot])
+            else:
+                others[j][b] = spec.draw(rng)
+
+    out: list[np.ndarray] = [np.empty(0)] * len(specs)
+    redraw = np.zeros(count, dtype=bool)
+    for dim, block in normals.items():
+        q, bad = haar_from_ginibre(block[:, :, 0] + 1j * block[:, :, 1])
+        redraw |= bad.any(axis=1)
+        for j, (jdim, slot) in slots.items():
+            if jdim == dim:
+                out[j] = q[:, slot]
+    for j, stack in others.items():
+        check_unitary(stack)
+        out[j] = stack
+    for b in np.flatnonzero(redraw):
+        rng = fresh_stream(rngs[b])
+        if before is not None:
+            before(b, rng)
+        for j, spec in enumerate(specs):
+            out[j][b] = spec.draw(rng)
+    return out
+
+
 def _case_name(case) -> str:
     name = str(getattr(case, "value", case))
     if name not in CASE_NAMES:
@@ -209,9 +290,17 @@ def grad_variance_mps(
 
     In the minus/plus cases only that factor is Haar (the 2-design side);
     its partner comes from ensembles["partner"], default haar.
+
+    o_builder is called per index, before that index's gate draws; the
+    gradients of a batch are then evaluated together by
+    ``ansatz.grad_ring``, bitwise equal to ``grad_site`` per sample.
     """
     name = _case_name(case)
     onsite = name.startswith("onsite")
+    if n < 2:
+        raise ValueError("need at least two sites")
+    if D < 1 or d < 2:
+        raise ValueError("need bond dim >= 1 and physical dim >= 2")
     if onsite:
         site_m = 0
     else:
@@ -230,22 +319,30 @@ def grad_variance_mps(
         if spec.dim != dim:
             raise ValueError("ensemble dim must equal D*d")
     g_obs = g if isinstance(g, HermitianObservable) else HermitianObservable(g)
-    fixed_o = None if callable(o_builder) else _mat(o_builder)
+    minus_ig = -1j * g_obs.matrix
+    fixed_o = None if callable(o_builder) else _observable(o_builder, d)
+    haar = EnsembleSpec.haar(dim)
+    split = {"minus": (haar, partner), "plus": (partner, haar), "both": (haar, haar)}
+    specs = (*split[name.rpartition("-")[2]], *(sites,) * (n - 1))
 
-    def draw_split(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if name.endswith("minus"):
-            return haar_unitary(dim, rng).matrix, partner.draw(rng)
-        if name.endswith("plus"):
-            return partner.draw(rng), haar_unitary(dim, rng).matrix
-        return haar_unitary(dim, rng).matrix, haar_unitary(dim, rng).matrix
+    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        if fixed_o is None:
+            obs = np.empty((len(rngs), d, d), dtype=complex)
 
-    def sampler(index: int, rng: np.random.Generator) -> float:
-        o = fixed_o if fixed_o is not None else o_builder(rng)
-        u_minus, u_plus = draw_split(rng)
-        gates = [UnitaryGate(u_minus @ u_plus)]
-        gates += [UnitaryGate(sites.draw(rng)) for _ in range(n - 1)]
-        m = MpsAnsatz(n, D, d, tuple(gates))
-        dec = SiteDecomposition(0, UnitaryGate(u_minus), g_obs, UnitaryGate(u_plus))
-        return grad_site(m, dec, o, site_m)
+            def build(b: int, rng: np.random.Generator) -> None:
+                obs[b] = _observable(o_builder(rng), d)
+        else:
+            obs, build = fixed_o, None
+        u_minus, u_plus, *others = draw_unitaries(specs, rngs, build)
+        gate = u_minus @ u_plus
+        check_unitary(gate)
+        return grad_ring((u_minus @ minus_ig) @ u_plus, gate, np.stack(others, axis=1), obs, site_m, D, d)
 
     return estimate(sampler, samples, seed, workers)
+
+
+def _observable(o, d: int) -> np.ndarray:
+    o = _mat(o)
+    if o.shape != (d, d):
+        raise ValueError(f"observable must be {d}x{d}")
+    return o

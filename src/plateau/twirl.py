@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _mat, haar_unitary
+from .linalg import _mat, haar_from_ginibre, haar_unitary
 
 
 class PermLabel(enum.Enum):
@@ -110,17 +110,12 @@ _BATCH = 4096
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    # stacked QR with the usual phase fix; same distribution as haar_unitary
+    # one stream for the whole batch; rank-deficient draws are redrawn after it
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("bii->bi", r)
-    mags = np.abs(diag)
-    bad = np.nonzero(np.min(mags, axis=1) <= 1e-12)[0]
-    for k in bad:
+    q, bad = haar_from_ginibre(g)
+    for k in np.nonzero(bad)[0]:
         q[k] = haar_unitary(n, rng).matrix
-        diag[k] = 1.0
-        mags[k] = 1.0
-    return q * (diag / mags)[:, None, :]
+    return q
 
 
 def _two_copy_batch(u: np.ndarray) -> np.ndarray:

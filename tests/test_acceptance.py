@@ -55,6 +55,15 @@ P0 = HermitianObservable(np.diag([1.0, 0.0]))
 ZI = HermitianObservable(pauli_string("ZI"))
 
 
+def per_index(fn):
+    """Lift a per-sample fn(index, rng) -> float to the batch sampler contract."""
+
+    def sampler(indices, rngs):
+        return np.array([fn(int(i), rng) for i, rng in zip(indices, rngs)], dtype=float)
+
+    return sampler
+
+
 def rng_for(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -243,9 +252,9 @@ def test_criterion_9_reproducibility():
     def gaussian(i, rng):
         return rng.standard_normal()
 
-    base = estimate(gaussian, samples=5000, seed=12, workers=1)
+    base = estimate(per_index(gaussian), samples=5000, seed=12, workers=1)
     for workers in (2, 3, 8):
-        r = estimate(gaussian, samples=5000, seed=12, workers=workers)
+        r = estimate(per_index(gaussian), samples=5000, seed=12, workers=workers)
         assert (r.mean, r.variance, r.stderr_mean, r.stderr_variance, r.excluded) == (
             base.mean, base.variance, base.stderr_mean, base.stderr_variance,
             base.excluded,

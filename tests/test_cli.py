@@ -133,3 +133,18 @@ def test_bad_inputs_exit_two(tmp_path):
         "circuit", "--layout", "file", "--layout-file", str(bad), "--samples", "100"
     ).returncode == 2
     assert run_cli("variance", "--unknown-flag").returncode == 2
+
+
+def test_unknown_config_key_is_rejected(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n=2\nsampels=10\n")
+    r = run_cli("variance", "--config", str(cfg))
+    assert r.returncode == 2
+    assert "'sampels'" in r.stderr
+    assert f"{cfg}:2" in r.stderr
+
+
+def test_out_of_range_n_names_the_flag():
+    r = run_cli("haar-epsilon", "--n", "0", "--samples", "100")
+    assert r.returncode == 2
+    assert "--n must be >= 1" in r.stderr

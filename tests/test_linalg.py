@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from plateau.linalg import (
     HermitianObservable,
     UnitaryGate,
+    check_unitary,
     gue_hermitian,
+    haar_from_ginibre,
     haar_state,
     haar_unitary,
     hs_norm_sq,
@@ -33,6 +35,29 @@ def test_haar_unitary_deterministic_per_seed():
     c = haar_unitary(4, rng_for(124)).matrix
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_haar_kernel_stack_matches_single_draws():
+    rng = rng_for(4)
+    z = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    z[2, :, 1] = 0.0  # rank-deficient draw
+    q, bad = haar_from_ginibre(z)
+    assert bad.tolist() == [False, False, True, False, False]
+    for k in (0, 1, 3, 4):
+        qk, bad_k = haar_from_ginibre(z[k])
+        assert not bad_k
+        assert q[k].tobytes() == qk.tobytes()
+
+
+def test_check_unitary_on_a_stack():
+    stack = np.stack([haar_unitary(3, rng_for(k)).matrix for k in range(4)])
+    check_unitary(stack)
+    stack[2, 0, 0] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(stack)
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_unitary(stack)
 
 
 def test_haar_unitary_moments_match_twirl():

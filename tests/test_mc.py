@@ -7,6 +7,15 @@ from plateau.linalg import HermitianObservable, UnitaryGate, pauli_string
 from plateau.mc import CASE_NAMES, EnsembleSpec, EstimateResult, estimate, grad_variance_mps
 
 
+def per_index(fn):
+    """Lift a per-sample fn(index, rng) -> float to the batch sampler contract."""
+
+    def sampler(indices, rngs):
+        return np.array([fn(int(i), rng) for i, rng in zip(indices, rngs)], dtype=float)
+
+    return sampler
+
+
 def fields(r):
     return (
         r.mean,
@@ -20,7 +29,7 @@ def fields(r):
 
 
 def test_constant_sampler():
-    r = estimate(lambda i, rng: 2.5, samples=500, seed=0)
+    r = estimate(per_index(lambda i, rng: 2.5), samples=500, seed=0)
     assert r.mean == 2.5
     assert r.variance == 0.0
     assert r.stderr_mean == 0.0
@@ -32,14 +41,14 @@ def test_worker_count_does_not_change_bits():
     def sampler(i, rng):
         return rng.standard_normal() + 0.01 * i
 
-    base = estimate(sampler, samples=3000, seed=42, workers=1)
+    base = estimate(per_index(sampler), samples=3000, seed=42, workers=1)
     for workers in (2, 3, 8):
-        r = estimate(sampler, samples=3000, seed=42, workers=workers)
+        r = estimate(per_index(sampler), samples=3000, seed=42, workers=workers)
         assert fields(r) == fields(base)
 
 
 def test_mean_and_variance_of_gaussian():
-    r = estimate(lambda i, rng: rng.normal(loc=1.0), samples=40_000, seed=3)
+    r = estimate(per_index(lambda i, rng: rng.normal(loc=1.0)), samples=40_000, seed=3)
     assert abs(r.mean - 1.0) <= 4.0 * r.stderr_mean
     assert abs(r.variance - 1.0) <= 4.0 * r.stderr_variance
     assert r.stderr_mean == pytest.approx(np.sqrt(r.variance / r.samples))
@@ -49,8 +58,8 @@ def test_mean_and_variance_of_gaussian():
 
 
 def test_stderr_shrinks_with_samples():
-    small = estimate(lambda i, rng: rng.normal(), samples=2000, seed=5)
-    large = estimate(lambda i, rng: rng.normal(), samples=200_000, seed=5)
+    small = estimate(per_index(lambda i, rng: rng.normal()), samples=2000, seed=5)
+    large = estimate(per_index(lambda i, rng: rng.normal()), samples=200_000, seed=5)
     ratio = small.stderr_mean / large.stderr_mean
     assert 7.0 < ratio < 14.0  # 10x expected
 
@@ -59,7 +68,7 @@ def test_nan_samples_are_excluded():
     def sampler(i, rng):
         return float("nan") if i % 10 == 0 else float(i)
 
-    r = estimate(sampler, samples=100, seed=0)
+    r = estimate(per_index(sampler), samples=100, seed=0)
     kept = [float(i) for i in range(100) if i % 10 != 0]
     assert r.excluded == 10
     assert r.mean == pytest.approx(np.mean(kept))
@@ -77,15 +86,17 @@ def test_sample_index_stream_is_stable():
         seen[i] = v
         return v
 
-    estimate(recorder, samples=50, seed=9)
-    estimate(recorder, samples=80, seed=9)
+    estimate(per_index(recorder), samples=50, seed=9)
+    estimate(per_index(recorder), samples=80, seed=9)
 
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        estimate(lambda i, rng: 0.0, samples=1, seed=0)
+        estimate(per_index(lambda i, rng: 0.0), samples=1, seed=0)
     with pytest.raises(ValueError):
-        estimate(lambda i, rng: 0.0, samples=100, seed=0, workers=0)
+        estimate(per_index(lambda i, rng: 0.0), samples=100, seed=0, workers=0)
+    with pytest.raises(ValueError):
+        estimate(lambda indices, rngs: np.zeros(1), samples=100, seed=0)
 
 
 def test_ensemble_spec_draws():
