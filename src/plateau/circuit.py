@@ -109,7 +109,8 @@ def expectation(psi: np.ndarray, o_a, a: Sequence[int], n_qubits: int,
                 phi: Optional[np.ndarray] = None):
     """<phi| O_A |psi> (phi defaults to psi); an array of values for a batch."""
     opsi = apply_gate(psi, o_a, a, n_qubits)
-    val = np.vecdot(phi if phi is not None else psi, opsi)
+    bra = (phi if phi is not None else psi).conj()
+    val = (bra[..., None, :] @ opsi[..., :, None])[..., 0, 0]
     return complex(val) if val.ndim == 0 else val
 
 

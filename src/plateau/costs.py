@@ -80,19 +80,14 @@ def p_first_qubit(v, n: int) -> OutputDistribution:
     return OutputDistribution((p0 / tot, 1.0 - p0 / tot))
 
 
-def epsilon(o, d: int):
-    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d.
-
-    A stack o[..., d, d] gives an array of values, one per matrix.
-    """
+def epsilon(o, d: int) -> float:
+    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d."""
     o = _mat(o)
-    if o.shape[-2:] != (d, d):
+    if o.shape != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
-    t1 = np.trace(o, axis1=-2, axis2=-1).real
-    t2 = np.trace(o @ o, axis1=-2, axis2=-1).real
-    if o.ndim == 2:
-        return max(float(t2 - t1 * t1 / d), 0.0)
-    return np.maximum(t2 - t1 * t1 / d, 0.0)
+    t1 = np.trace(o).real
+    t2 = np.trace(o @ o).real
+    return max(float(t2 - t1 * t1 / d), 0.0)
 
 
 def _clamp(p: float, context: str) -> tuple[float, bool]:
@@ -177,12 +172,10 @@ def _haar_target_probs(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarra
     return np.stack([p0, 1.0 - p0], axis=-1)
 
 
-def _diag_stack(vals: np.ndarray) -> np.ndarray:
-    # (B, k) -> (B, k, k) complex diagonal matrices
-    count, k = vals.shape
-    out = np.zeros((count, k, k), dtype=complex)
-    out[:, np.arange(k), np.arange(k)] = vals
-    return out
+def _diag_epsilon(v: np.ndarray) -> np.ndarray:
+    # epsilon of the diagonal observables diag(v[b]), one per row of (B, 2)
+    t1 = v[:, 0] + v[:, 1]
+    return np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)
 
 
 def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1) -> EstimateResult:
@@ -201,9 +194,9 @@ def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1)
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         p = _haar_target_probs(n, rngs)
         if kind is CostKind.LINEAR_XEB:
-            return epsilon(_diag_stack(2.0 * p - 1.0), 2)
+            return _diag_epsilon(2.0 * p - 1.0)
         clamped = np.any(p < P_FLOOR, axis=-1)
-        eps = epsilon(_diag_stack(-np.log(np.maximum(p, P_FLOOR))), 2)
+        eps = _diag_epsilon(-np.log(np.maximum(p, P_FLOOR)))
         return np.where(clamped, np.nan, eps)
 
     return estimate(sampler, samples, seed, workers)

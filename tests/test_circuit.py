@@ -83,6 +83,18 @@ def test_expectation_hand_value():
     assert expectation(psi, Z, (1,), 2).real == pytest.approx(1.0)
 
 
+def test_batched_expectation_is_vdot_per_slice():
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    phi = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    o = gue_hermitian(4, rng).matrix
+    got = expectation(psi, o, (2, 0), 3, phi=phi)
+    want = [np.vdot(f, apply_gate(p, o, (2, 0), 3)) for f, p in zip(phi, psi)]
+    assert got.shape == (5,)
+    assert all(g == w for g, w in zip(got.tolist(), want))
+    assert expectation(psi[1], o, (2, 0), 3, phi=phi[1]) == want[1]
+
+
 def test_circuit_cost_matches_dense_oracle():
     rng = rng_for(0)
     for _ in range(10):
