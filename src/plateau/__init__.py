@@ -14,7 +14,6 @@ from .linalg import (
 from .twirl import (
     DesignConstants,
     PermLabel,
-    TwoCopyOperator,
     diagram_exact,
     diagram_mc,
     mc_twirl,
@@ -26,7 +25,6 @@ from .twirl import (
 from .ansatz import (
     MpsAnsatz,
     SiteDecomposition,
-    TransferMatrix,
     cost,
     cost_statevector,
     grad_fd,
@@ -59,8 +57,6 @@ from .analytic import (
     VarianceQuery,
     c4_closed,
     c_constants_mc,
-    design_constants,
-    gamma,
     variance_bound_onsite_minus,
     variance_formula,
     variance_large_n,

@@ -3,37 +3,29 @@
 Which of the derivative site's two factors (u_minus, the late one, and
 u_plus, the early one) is averaged exactly picks the case; the distance
 delta between derivative and observable sites picks on-site vs off-site.
-Each closed form combines the design constants (q, xi, eta), a geometric
-chain factor Gamma_L, and one or two generator constants C1..C6.  C4 is
-fully closed-form; the others are Haar integrals over the non-averaged
-factor, estimated by Monte Carlo with reported standard errors.
+Every closed form is read from one object, the two-copy chain over the
+straight and crossed pairings {S, A}, whose one-site transfer is
+T = [[1, xi], [0, eta]] (``DesignConstants.chain``): a case's value is
+the [A, A] entry of the chain up to the observable times the sum of a
+2x2 boundary-coefficient matrix K against the chain after it, and the
+large-n limit replaces that second chain by its limit.  K combines the
+design constants, epsilon(O), Tr(O)^2 and one or two generator constants
+C1..C6.  C4 is fully closed-form; the others are Haar integrals over the
+non-averaged factor, estimated by Monte Carlo with reported standard
+errors.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .costs import epsilon
 from .linalg import HermitianObservable, _mat, partial_trace
-from .mc import EnsembleSpec, draw_unitaries, estimate
-from .twirl import DesignConstants
-
-
-class VarianceCase(enum.Enum):
-    OFFSITE_MINUS = "offsite-minus"
-    OFFSITE_PLUS = "offsite-plus"
-    OFFSITE_BOTH = "offsite-both"
-    ONSITE_MINUS = "onsite-minus"
-    ONSITE_PLUS = "onsite-plus"
-    ONSITE_BOTH = "onsite-both"
-
-    @property
-    def onsite(self) -> bool:
-        return self.value.startswith("onsite")
+from .mc import EnsembleSpec, VarianceCase, draw_unitaries, estimate
+from .twirl import DesignConstants, PermLabel
 
 
 # constants entering each closed form (c4 is computed in every query)
@@ -67,8 +59,9 @@ class VarianceQuery:
         if _mat(self.o).shape != (self.d, self.d):
             raise ValueError("observable must act on the physical space (d)")
         if not self.case.onsite:
-            if self.delta is None or not 1 <= self.delta <= self.n - 1:
-                raise ValueError("off-site cases need 1 <= delta <= n-1")
+            cut = _SHAPES[self.case][2]
+            if self.delta is None or not 1 <= self.delta <= self.n - cut:
+                raise ValueError(f"{self.case.value} needs 1 <= delta <= n-{cut}")
 
 
 @dataclass(frozen=True)
@@ -103,19 +96,6 @@ class CConstants:
         if entry is None:
             raise ValueError(f"case {case.value} needs constant {name}")
         return entry.value
-
-
-def design_constants(D: int, d: int) -> DesignConstants:
-    return DesignConstants.from_dims(D, d)
-
-
-def gamma(L: int, dc: DesignConstants) -> float:
-    """Geometric partial sum (1 - eta^L)/(1 - eta)."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    if dc.eta >= 1:
-        raise ValueError("gamma diverges for eta >= 1")
-    return (1.0 - dc.eta**L) / (1.0 - dc.eta)
 
 
 def c4_closed(g, D: int, d: int) -> float:
@@ -237,99 +217,62 @@ def c_constants_mc(
 
 def _terms(vq: VarianceQuery) -> tuple[DesignConstants, float, float]:
     o = _mat(vq.o)
-    return (
-        DesignConstants.from_dims(vq.D, vq.d),
-        epsilon(o, vq.d),
-        float(np.trace(o).real) ** 2,
-    )
+    return DesignConstants.from_dims(vq.D, vq.d), epsilon(o, vq.d), float(np.trace(o).real) ** 2
+
+
+# Boundary coefficients K over {S, A} from the case's constants; K[A, S]
+# meets the zero entry of the chain and stays 0.
+def _k_single(c, eps, tr2, D, d, q):
+    # both and off-site minus: one constant times the bare observable boundary
+    return c / q**2 * np.array([[-eps / d, eps * D], [0.0, eps * D**2 + tr2 * (D**2 - 1) / d]])
+
+
+def _k_plus(c2, c3, eps, tr2, D, d, q):
+    a = -c2 / D + c3
+    row_a = eps * d * a * D**2 + tr2 * a * (D**2 - 1)
+    return np.array([[eps * (c2 * D * d**2 - c3), eps * d * a * D], [0.0, row_a]]) / q**2
+
+
+def _k_onsite_minus(c5, c6, eps, tr2, D, d, q):
+    return np.array([[-c5 / (D * d), c5], [0.0, c6]]) / q
+
+
+# case -> (K, shift, cut): delta' = delta + shift links up to the observable
+# and L = n - delta - cut after it, with delta = 0 on site
+_SHAPES = {
+    VarianceCase.OFFSITE_MINUS: (_k_single, -1, 1),
+    VarianceCase.OFFSITE_PLUS: (_k_plus, 0, 2),
+    VarianceCase.OFFSITE_BOTH: (_k_single, 0, 1),
+    VarianceCase.ONSITE_MINUS: (_k_onsite_minus, 0, 1),
+    VarianceCase.ONSITE_PLUS: (_k_plus, 0, 2),
+    VarianceCase.ONSITE_BOTH: (_k_single, 0, 1),
+}
+
+
+def _evaluate(vq: VarianceQuery, cc: CConstants, tail) -> float:
+    """chain(delta')[A, A] * sum(K * tail(dc, L)) for the query's case.
+
+    The pairing chain from the derivative site to the observable has
+    delta' links and the one from the observable back round the ring L;
+    tail is ``DesignConstants.chain`` or its n -> infinity limit.
+    """
+    dc, eps, tr2 = _terms(vq)
+    build, shift, cut = _SHAPES[vq.case]
+    delta = 0 if vq.case.onsite else vq.delta
+    consts = [cc.value(name, vq.case) for name in CASE_CONSTANTS[vq.case]]
+    k = build(*consts, eps, tr2, vq.D, vq.d, dc.q)
+    a = PermLabel.A.index
+    return float(dc.chain(delta + shift)[a, a] * np.sum(k * tail(dc, vq.n - delta - cut)))
 
 
 def variance_formula(vq: VarianceQuery, cc: CConstants) -> float:
     """Exact finite-n variance for the query's case."""
-    dc, eps, tr2 = _terms(vq)
-    D, d, q, xi, eta = vq.D, vq.d, dc.q, dc.xi, dc.eta
-    n, case = vq.n, vq.case
-
-    if case is VarianceCase.OFFSITE_MINUS:
-        c1 = cc.value("c1", case)
-        L = n - vq.delta - 1
-        return (c1 * eta ** (vq.delta - 1) / q**2) * (
-            eps * (-1.0 / d + D * xi * gamma(L, dc) + D**2 * eta**L)
-            + tr2 * (D**2 - 1) * eta**L / d
-        )
-    if case is VarianceCase.OFFSITE_PLUS:
-        if vq.delta > n - 2:
-            raise ValueError("offsite-plus needs 1 <= delta <= n-2")
-        c2, c3 = cc.value("c2", case), cc.value("c3", case)
-        L = n - vq.delta - 2
-        return (eta**vq.delta / q**2) * (
-            eps
-            * (
-                c2 * D * d**2
-                - c3
-                + (-c2 * d / D + c3 * d) * (D * xi * gamma(L, dc) + D**2 * eta**L)
-            )
-            + tr2 * (-c2 / D + c3) * (D**2 - 1) * eta**L
-        )
-    if case is VarianceCase.OFFSITE_BOTH:
-        c4 = cc.value("c4", case)
-        L = n - vq.delta - 1
-        return (c4 * eta**vq.delta / q**2) * (
-            eps * (-1.0 / d + D * xi * gamma(L, dc) + D**2 * eta**L)
-            + tr2 * (D**2 - 1) * eta**L / d
-        )
-    if case is VarianceCase.ONSITE_MINUS:
-        c5, c6 = cc.value("c5", case), cc.value("c6", case)
-        return (1.0 / q) * (
-            c5 * (-1.0 / (D * d) + xi * gamma(n - 1, dc)) + c6 * eta ** (n - 1)
-        )
-    if case is VarianceCase.ONSITE_PLUS:
-        c2, c3 = cc.value("c2", case), cc.value("c3", case)
-        return (1.0 / q**2) * (
-            eps
-            * (
-                D * d**2 * c2
-                - c3
-                + (-c2 * d / D + c3 * d) * (xi * gamma(n - 2, dc) * D + eta ** (n - 2) * D**2)
-            )
-            + tr2 * (D**2 - 1) * eta ** (n - 2) * (-c2 / D + c3)
-        )
-    c4 = cc.value("c4", case)
-    return (c4 / q**2) * (
-        eps * (-1.0 / d + D * xi * gamma(n - 1, dc) + D**2 * eta ** (n - 1))
-        + tr2 * (D**2 - 1) / d * eta ** (n - 1)
-    )
+    return _evaluate(vq, cc, DesignConstants.chain)
 
 
 def variance_large_n(vq: VarianceQuery, cc: CConstants) -> float:
     """n -> infinity limit of variance_formula for the query's case."""
-    dc, eps, _ = _terms(vq)
-    D, d, q, xi, eta = vq.D, vq.d, dc.q, dc.xi, dc.eta
-    case = vq.case
-    tail = -1.0 / d + D * xi / (1.0 - eta)
-
-    if case is VarianceCase.OFFSITE_MINUS:
-        return eps * cc.value("c1", case) * eta ** (vq.delta - 1) / q**2 * tail
-    if case is VarianceCase.OFFSITE_PLUS:
-        c2, c3 = cc.value("c2", case), cc.value("c3", case)
-        return (
-            eps
-            * eta**vq.delta
-            / q**2
-            * (c2 * D * d**2 - c3 + d * (-c2 / D + c3) * D * xi / (1.0 - eta))
-        )
-    if case is VarianceCase.OFFSITE_BOTH:
-        return eps * cc.value("c4", case) * eta**vq.delta / q**2 * tail
-    if case is VarianceCase.ONSITE_MINUS:
-        return cc.value("c5", case) / q * (-1.0 / (D * d) + xi / (1.0 - eta))
-    if case is VarianceCase.ONSITE_PLUS:
-        c2, c3 = cc.value("c2", case), cc.value("c3", case)
-        return (
-            eps
-            / q**2
-            * (D * d**2 * c2 - c3 + (-c2 / D + c3) * xi * D * d / (1.0 - eta))
-        )
-    return eps * cc.value("c4", case) / q**2 * tail
+    return _evaluate(vq, cc, lambda dc, L: np.array([[1.0, dc.xi / (1.0 - dc.eta)], [0.0, 0.0]]))
 
 
 def variance_bound_onsite_minus(vq: VarianceQuery, g=None) -> float:

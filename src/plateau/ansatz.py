@@ -70,20 +70,6 @@ class SiteDecomposition:
         return _mat(self.u_minus) @ (-1j * _mat(self.g)) @ _mat(self.u_plus)
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """Bond-ring operator E[(a a~), (b b~)] of dimension D²."""
-
-    D: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.D**2, self.D**2):
-            raise ValueError("transfer matrix must be D² x D²")
-        object.__setattr__(self, "matrix", m)
-
-
 def site_tensor(gate, D: int, d: int) -> np.ndarray:
     """Site tensors A[s, a, b] = <b (x) s| U |a (x) 0>, bond index first.
 
@@ -110,8 +96,9 @@ def _transfer_from_tensors(a_ket: np.ndarray, a_bra: np.ndarray, obs) -> np.ndar
     return e.reshape(*e.shape[:-4], D * D, D * D)
 
 
-def transfer(gate, obs, D: int, d: int) -> TransferMatrix:
-    """E = sum_s A^s (x) conj(A^s); with obs, O_{s s'} weights the pair (s', s).
+def transfer(gate, obs, D: int, d: int) -> np.ndarray:
+    """Bond-ring operator E[(a a~), (b b~)] = sum_s A^s (x) conj(A^s), D² x D²;
+    with obs, O_{s s'} weights the pair (s', s).
 
     The index order makes Tr[E_1 ... E_n] equal <psi| O_at_site |psi> on
     the periodic ring.
@@ -119,7 +106,7 @@ def transfer(gate, obs, D: int, d: int) -> TransferMatrix:
     if obs is not None and _mat(obs).shape != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
     a = site_tensor(gate, D, d)
-    return TransferMatrix(D, _transfer_from_tensors(a, a, obs))
+    return _transfer_from_tensors(a, a, obs)
 
 
 def _ring_trace(mats: Sequence[np.ndarray]) -> complex:
@@ -146,7 +133,7 @@ def cost(m: MpsAnsatz, o, site_m: int) -> float:
     """C = <psi| I ... O at site_m ... I |psi> by transfer-ring contraction."""
     _check_site(m, site_m, o)
     mats = [
-        transfer(g, o if i == site_m else None, m.D, m.d).matrix
+        transfer(g, o if i == site_m else None, m.D, m.d)
         for i, g in enumerate(m.gates)
     ]
     return _real_ring(_ring_trace(mats))
@@ -184,7 +171,7 @@ def _grad_transfers(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int):
             a_bra = site_tensor(dec.gate_matrix, m.D, m.d)
             mats.append(_transfer_from_tensors(a_ket, a_bra, obs))
         else:
-            mats.append(transfer(g, obs, m.D, m.d).matrix)
+            mats.append(transfer(g, obs, m.D, m.d))
     return mats
 
 

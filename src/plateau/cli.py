@@ -15,19 +15,20 @@ identical files.  Exit codes: 0 ok, 1 check failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from .analytic import (
-    CASE_CONSTANTS,
     CConstants,
     VarianceCase,
     VarianceQuery,
@@ -36,6 +37,7 @@ from .analytic import (
 )
 from .circuit import LayeredCircuit, brick_supports, circuit_variance_mc
 from .costs import (
+    ClampWarning,
     CostKind,
     epsilon,
     haar_avg_epsilon_mc,
@@ -126,9 +128,12 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
         return pauli_string("X")
     kind, _, arg = s.partition(":")
     if kind == "diag":
-        vals = [float(v) for v in arg.split(",")]
+        try:
+            vals = [float(v) for v in arg.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--O diag entries must be numbers, got {arg!r}") from exc
         if len(vals) != d:
-            raise ConfigError(f"diag observable needs {d} entries")
+            raise ConfigError(f"--O diag observable needs {d} entries")
         return np.diag(vals)
     if kind == "gue":
         rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "observable seed")))
@@ -136,7 +141,7 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
     raise ConfigError(f"unknown observable spec {spec!r}")
 
 
-def _load_config(path: Optional[str], keys: set) -> dict:
+def _load_config(path: Optional[str], keys: set, choices: dict) -> dict:
     if not path:
         return {}
     out = {}
@@ -152,16 +157,21 @@ def _load_config(path: Optional[str], keys: set) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in keys:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
-                out[key] = val.strip()
+                val = val.strip()
+                if key in choices and val not in choices[key]:
+                    raise ConfigError(f"{path}:{ln}: {key} must be one of {'|'.join(choices[key])}, got {val!r}")
+                out[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
+def _resolve(args: argparse.Namespace) -> dict:
+    cfg = dict(_DEFAULTS[args.command])
     keys = set(vars(args)) - {"command", "config"}
-    cfg.update(_load_config(getattr(args, "config", None), keys))
+    cfg.update(_load_config(getattr(args, "config", None), keys, _CHOICES[args.command]))
+    if isinstance(cfg.get("verify"), str):
+        cfg["verify"] = cfg["verify"] == "true"
     for key, val in vars(args).items():
         if key in ("config",) or val is None:
             continue
@@ -172,8 +182,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    import csv
-
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -190,15 +198,16 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _run_record(cfg: dict, points: list, started: float) -> dict:
+def _run_record(cfg: dict, points: list, started: float) -> str:
     echo = {k: (v if isinstance(v, (int, float, bool)) or v is None else str(v)) for k, v in sorted(cfg.items())}
-    return {
+    record = {
         "config": echo,
         "points": points,
         "seed": _as_int(cfg["seed"], "seed"),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def _tagged(value, provenance: str, stderr=None, samples=None) -> dict:
@@ -219,37 +228,27 @@ def _identity_checks(which: str, D: int, d: int, samples: int, seed: int) -> lis
     rows = []
     labels = [(l, r) for l in (PermLabel.S, PermLabel.A) for r in (PermLabel.S, PermLabel.A)]
 
-    if which in ("tree", "all"):
+    o = pauli_string("Z") if d == 2 else gue_hermitian(d, np.random.default_rng(7)).matrix
+    for prefix, obs, offset in (("tree", None, 0), ("otree", o, 10)):
+        if which not in (prefix, "all"):
+            continue
         for i, (l, r) in enumerate(labels):
-            closed = tree_chain(l, r, 0, dc)
-            exact = diagram_exact(l, r, dc)
-            rows.append((f"tree {l.value}{r.value} exact", exact, closed, 1e-10, abs(exact - closed) <= 1e-10))
-            mean, se = diagram_mc(l, r, dc, samples, seed + i)
+            closed = tree_chain(l, r, 0, dc) if obs is None else o_tree(l, r, obs, dc)
+            exact = diagram_exact(l, r, dc, obs)
+            rows.append((f"{prefix} {l.value}{r.value} exact", exact, closed, 1e-10, abs(exact - closed) <= 1e-10))
+            mean, se = diagram_mc(l, r, dc, samples, seed + offset + i, obs)
             tol = max(3.0 * se, 1e-9)
-            rows.append((f"tree {l.value}{r.value} mc", mean, closed, tol, abs(mean - closed) <= tol))
-
-    if which in ("otree", "all"):
-        o = pauli_string("Z") if d == 2 else gue_hermitian(d, np.random.default_rng(7)).matrix
-        for i, (l, r) in enumerate(labels):
-            closed = o_tree(l, r, o, dc)
-            exact = diagram_exact(l, r, dc, o)
-            rows.append((f"otree {l.value}{r.value} exact", exact, closed, 1e-10, abs(exact - closed) <= 1e-10))
-            mean, se = diagram_mc(l, r, dc, samples, seed + 10 + i, o)
-            tol = max(3.0 * se, 1e-9)
-            rows.append((f"otree {l.value}{r.value} mc", mean, closed, tol, abs(mean - closed) <= tol))
+            rows.append((f"{prefix} {l.value}{r.value} mc", mean, closed, tol, abs(mean - closed) <= tol))
 
     if which in ("twirl", "all"):
         n = D * d
         ident, swap = perm_ops(n)
-        for name, x, want in (
-            ("twirl unital", ident.matrix, ident.matrix),
-            ("twirl swap", swap.matrix, swap.matrix),
-        ):
-            err = float(np.max(np.abs(second_moment(x, n) - want)))
-            rows.append((f"{name}", err, 0.0, 1e-12, err <= 1e-12))
+        for name, x in (("twirl unital", ident), ("twirl swap", swap)):
+            err = float(np.max(np.abs(second_moment(x, n) - x)))
+            rows.append((name, err, 0.0, 1e-12, err <= 1e-12))
         e00 = np.zeros((4, 4), dtype=complex)
         e00[0, 0] = 1.0
-        want = (perm_ops(2)[0].matrix + perm_ops(2)[1].matrix) / 6.0
+        want = sum(perm_ops(2)) / 6.0
         err = float(np.max(np.abs(second_moment(e00, 2) - want)))
         rows.append(("twirl |00> projector", err, 0.0, 1e-12, err <= 1e-12))
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -264,8 +263,6 @@ def _identity_checks(which: str, D: int, d: int, samples: int, seed: int) -> lis
 
 def run_identities(cfg: dict) -> int:
     which = str(cfg["which"])
-    if which not in ("twirl", "tree", "otree", "all"):
-        raise ConfigError(f"--which must be twirl|tree|otree|all, got {which!r}")
     D, d = _as_int(cfg["D"], "--D"), _as_int(cfg["d"], "--d", 1)
     if D < 2:
         raise ConfigError("diagram checks need D >= 2")
@@ -280,7 +277,7 @@ def run_identities(cfg: dict) -> int:
             {"check": name, "value": val, "reference": ref, "tolerance": tol, "pass": good}
             for name, val, ref, tol, good in rows
         ]
-        text = json.dumps(_run_record(cfg, points, started), indent=2, sort_keys=True) + "\n"
+        text = _run_record(cfg, points, started)
     else:
         lines = [f"{'check':28s} {'value':>24s} {'reference':>24s} {'tol':>12s} result"]
         for name, val, ref, tol, good in rows:
@@ -301,8 +298,6 @@ def run_identities(cfg: dict) -> int:
 def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     case = VarianceCase(str(cfg["case"]))
     cost = str(cfg["cost"])
-    if cost not in ("fixed", "xeb", "xent"):
-        raise ConfigError(f"--cost must be fixed|xeb|xent, got {cost!r}")
     D, d = _as_int(cfg["D"], "--D", 1), _as_int(cfg["d"], "--d", 2)
     if cost != "fixed" and d != 2:
         raise ConfigError("target-derived costs need d = 2")
@@ -313,12 +308,8 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     workers = _as_int(cfg["workers"], "--workers", 1)
     delta = None if case.onsite else _as_int(cfg["delta"], "--delta")
     g = HermitianObservable(_parse_generator(str(cfg["generator"]), D * d))
-    partner = str(cfg["partner_ensemble"])
-    if partner not in ("haar", "pauli"):
-        raise ConfigError("--partner-ensemble must be haar or pauli")
-    ens = {
-        "partner": EnsembleSpec.haar(D * d) if partner == "haar" else EnsembleSpec.pauli_group(D * d)
-    }
+    partners = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}
+    partner = partners[str(cfg["partner_ensemble"])](D * d)
 
     for n in ns:
         if not case.onsite and not 1 <= (delta or 0) <= n - 1:
@@ -328,11 +319,7 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     if cost == "fixed":
         o = HermitianObservable(_parse_observable(str(cfg["o"]), d))
         # the constants do not depend on n: one estimate serves the sweep
-        needs_mc = any(c != "c4" for c in CASE_CONSTANTS[case])
-        cc = c_constants_mc(
-            case, g.matrix, o.matrix, D, d, ens["partner"] if needs_mc else None,
-            const_samples, seed, workers,
-        )
+        cc = c_constants_mc(case, g.matrix, o.matrix, D, d, partner, const_samples, seed, workers)
 
     rows, points = [], []
     for n in ns:
@@ -342,25 +329,21 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
             eps_val, eps_prov, eps_se = epsilon(o.matrix, d), "analytic", None
             o_builder = o.matrix
         else:
-            builder_kind = CostKind(cost if cost != "fixed" else "generic")
+            builder_kind = CostKind(cost)
 
             def o_builder(rng, _n=n, _k=builder_kind):
                 vec = haar_state(2**_n, rng)
                 if _k is CostKind.LINEAR_XEB:
                     return observable_xeb(vec, _n).matrix.matrix
-                import warnings as _w
-
-                from .costs import ClampWarning as _CW
-
-                with _w.catch_warnings():
-                    _w.simplefilter("ignore", _CW)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ClampWarning)
                     obs = observable_xent(vec, _n)
                 return np.full((2, 2), np.nan) if obs.clamped else obs.matrix.matrix
 
             cc, analytic_val = None, None
             eps_est = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
             eps_val, eps_prov, eps_se = eps_est.mean, "empirical", eps_est.stderr_mean
-        r = grad_variance_mps(case, n, D, d, delta, o_builder, g, ens, samples, seed, workers)
+        r = grad_variance_mps(case, n, D, d, delta, o_builder, g, {"partner": partner}, samples, seed, workers)
         rows.append([n, r.variance, r.stderr_variance, analytic_val, eps_val, samples, seed])
         point = {
             "n": n,
@@ -387,23 +370,25 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     return rows, points
 
 
-def run_variance(cfg: dict) -> int:
+def _run_table(cfg: dict, header: list[str], make_rows: Callable[[dict], tuple[list, list]]) -> int:
+    """Rows to CSV, optionally re-run and compared byte for byte, then
+    written as CSV or as the JSON run record of the points."""
     started = time.perf_counter()
-    header = ["n", "var_emp", "stderr", "var_analytic", "epsilon_mean", "samples", "seed"]
-    rows, points = _variance_rows(cfg)
+    rows, points = make_rows(cfg)
     csv_text = _csv_text(header, rows)
-    if cfg.get("verify"):
-        rows2, _ = _variance_rows(cfg)
-        if _csv_text(header, rows2) != csv_text:
+    if cfg["verify"]:
+        if _csv_text(header, make_rows(cfg)[0]) != csv_text:
             print("verification failed: re-run differs", file=sys.stderr)
             return 1
         print("verification ok: re-run byte-identical", file=sys.stderr)
-    if str(cfg["format"]) == "json":
-        text = json.dumps(_run_record(cfg, points, started), indent=2, sort_keys=True) + "\n"
-    else:
-        text = csv_text
+    text = _run_record(cfg, points, started) if str(cfg["format"]) == "json" else csv_text
     _write_output(text, cfg.get("out"))
     return 0
+
+
+def run_variance(cfg: dict) -> int:
+    header = ["n", "var_emp", "stderr", "var_analytic", "epsilon_mean", "samples", "seed"]
+    return _run_table(cfg, header, _variance_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +397,6 @@ def run_variance(cfg: dict) -> int:
 
 def _haar_epsilon_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     cost = str(cfg["cost"])
-    if cost not in ("xeb", "xent"):
-        raise ConfigError(f"--cost must be xeb|xent, got {cost!r}")
     ns = _parse_range(cfg["n"], "--n", 1)
     samples = _as_int(cfg["samples"], "--samples", 2)
     seed = _as_int(cfg["seed"], "--seed", 0)
@@ -438,22 +421,8 @@ def _haar_epsilon_rows(cfg: dict) -> tuple[list[list], list[dict]]:
 
 
 def run_haar_epsilon(cfg: dict) -> int:
-    started = time.perf_counter()
     header = ["n", "epsilon_mc", "stderr", "epsilon_closed", "trace_oe_sq_mc", "clamp_count"]
-    rows, points = _haar_epsilon_rows(cfg)
-    csv_text = _csv_text(header, rows)
-    if cfg.get("verify"):
-        rows2, _ = _haar_epsilon_rows(cfg)
-        if _csv_text(header, rows2) != csv_text:
-            print("verification failed: re-run differs", file=sys.stderr)
-            return 1
-        print("verification ok: re-run byte-identical", file=sys.stderr)
-    if str(cfg["format"]) == "json":
-        text = json.dumps(_run_record(cfg, points, started), indent=2, sort_keys=True) + "\n"
-    else:
-        text = csv_text
-    _write_output(text, cfg.get("out"))
-    return 0
+    return _run_table(cfg, header, _haar_epsilon_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +466,17 @@ def run_circuit(cfg: dict) -> int:
     elif layout == "fullsingle":
         n_qubits = _as_int(cfg["qubits"], "--qubits", 1)
         supports = [tuple(range(n_qubits))]
-    elif layout == "file":
+    else:
         if not cfg.get("layout_file"):
             raise ConfigError("--layout file needs --layout-file PATH")
         n_qubits, supports = _load_layout(str(cfg["layout_file"]))
-    else:
-        raise ConfigError(f"--layout must be brick|fullsingle|file, got {layout!r}")
 
     obs_layer = _as_int(cfg.get("obs_layer", len(supports) - 1), "obs-layer")
     deriv_layer = _as_int(cfg["deriv_layer"], "deriv-layer")
     if not 0 <= obs_layer < len(supports) or not 0 <= deriv_layer < len(supports):
         raise ConfigError("layer indices out of range")
     a = (
-        tuple(int(t) for t in str(cfg["obs_qubits"]).replace(",", " ").split())
+        tuple(_as_int(t, "--obs-qubits") for t in str(cfg["obs_qubits"]).replace(",", " ").split())
         if cfg.get("obs_qubits") is not None
         else (supports[obs_layer][0],)
     )
@@ -590,8 +557,9 @@ _DEFAULTS = {
         "const_samples": "10000",
         "workers": "1",
         "format": "csv",
+        "verify": False,
     },
-    "haar-epsilon": {"cost": "xeb", "n": "1:6", "samples": "5000", "workers": "1", "format": "csv"},
+    "haar-epsilon": {"cost": "xeb", "n": "1:6", "samples": "5000", "workers": "1", "format": "csv", "verify": False},
     "circuit": {
         "layout": "brick",
         "qubits": "4",
@@ -602,6 +570,21 @@ _DEFAULTS = {
         "samples": "10000",
         "workers": "1",
     },
+}
+
+# choice-valued keys: the parser's choices for flags, and the check on config
+# values (verify is a plain flag, so only its config value is checked here)
+_CHOICES = {
+    "identities": {"which": ("twirl", "tree", "otree", "all"), "format": ("text", "json")},
+    "variance": {
+        "case": tuple(c.value for c in VarianceCase),
+        "cost": ("fixed", "xeb", "xent"),
+        "partner_ensemble": ("haar", "pauli"),
+        "format": ("csv", "json"),
+        "verify": ("true", "false"),
+    },
+    "haar-epsilon": {"cost": ("xeb", "xent"), "format": ("csv", "json"), "verify": ("true", "false")},
+    "circuit": {"layout": ("brick", "fullsingle", "file")},
 }
 
 
@@ -618,38 +601,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identities", help="pairing-value identity checks")
     common(sp)
-    sp.add_argument("--which", choices=["twirl", "tree", "otree", "all"])
+    choices = _CHOICES["identities"]
+    sp.add_argument("--which", choices=choices["which"])
     sp.add_argument("--D", help="bond dimension")
     sp.add_argument("--d", help="physical dimension")
-    sp.add_argument("--format", choices=["text", "json"])
+    sp.add_argument("--format", choices=choices["format"])
 
     sp = sub.add_parser("variance", help="empirical vs analytic gradient variance")
     common(sp)
-    sp.add_argument("--case", choices=[c.value for c in VarianceCase])
-    sp.add_argument("--cost", choices=["fixed", "xeb", "xent"])
+    choices = _CHOICES["variance"]
+    sp.add_argument("--case", choices=choices["case"])
+    sp.add_argument("--cost", choices=choices["cost"])
     sp.add_argument("--O", dest="o", help="observable: Z, p0, X, I, diag:a,b.., gue:SEED")
     sp.add_argument("--n", help="site count N or range LO:HI")
     sp.add_argument("--D", help="bond dimension")
     sp.add_argument("--d", help="physical dimension")
     sp.add_argument("--delta", help="derivative-to-observable distance (off-site cases)")
     sp.add_argument("--generator", help="gue:SEED, pauli:XY.., zero")
-    sp.add_argument("--partner-ensemble", dest="partner_ensemble", choices=["haar", "pauli"])
+    sp.add_argument("--partner-ensemble", dest="partner_ensemble", choices=choices["partner_ensemble"])
     sp.add_argument("--const-samples", dest="const_samples", help="samples for constant estimates")
     sp.add_argument("--workers", help="worker threads")
-    sp.add_argument("--format", choices=["csv", "json"])
-    sp.add_argument("--verify", action="store_true", help="re-run and require byte-identical numbers")
+    sp.add_argument("--format", choices=choices["format"])
+    sp.add_argument("--verify", action="store_true", default=None, help="re-run and require byte-identical numbers")
 
     sp = sub.add_parser("haar-epsilon", help="Haar-averaged epsilon of target-derived costs")
     common(sp)
-    sp.add_argument("--cost", choices=["xeb", "xent"])
+    choices = _CHOICES["haar-epsilon"]
+    sp.add_argument("--cost", choices=choices["cost"])
     sp.add_argument("--n", help="qubit count N or range LO:HI")
     sp.add_argument("--workers", help="worker threads")
-    sp.add_argument("--format", choices=["csv", "json"])
-    sp.add_argument("--verify", action="store_true", help="re-run and require byte-identical numbers")
+    sp.add_argument("--format", choices=choices["format"])
+    sp.add_argument("--verify", action="store_true", default=None, help="re-run and require byte-identical numbers")
 
     sp = sub.add_parser("circuit", help="layered-circuit gradient checks")
     common(sp)
-    sp.add_argument("--layout", choices=["brick", "fullsingle", "file"])
+    sp.add_argument("--layout", choices=_CHOICES["circuit"]["layout"])
     sp.add_argument("--layout-file", dest="layout_file")
     sp.add_argument("--qubits", help="qubit count (brick/fullsingle)")
     sp.add_argument("--layers", help="brick layer count")
@@ -672,11 +658,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "circuit": run_circuit,
     }
     try:
-        return handlers[args.command](_resolve(args, _DEFAULTS[args.command]))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+        return handlers[args.command](_resolve(args))
+    except (ConfigError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ counts.
 
 from __future__ import annotations
 
+import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,16 +36,20 @@ JACKKNIFE_BLOCKS = 100
 # them every sampled value, never depend on the worker count
 BATCH = 32
 
-# matching §-free names for the six sampling geometries; module analytic
-# attaches the closed forms to the same strings
-CASE_NAMES = (
-    "offsite-minus",
-    "offsite-plus",
-    "offsite-both",
-    "onsite-minus",
-    "onsite-plus",
-    "onsite-both",
-)
+
+class VarianceCase(enum.Enum):
+    """The six sampling geometries; module analytic attaches the closed forms."""
+
+    OFFSITE_MINUS = "offsite-minus"
+    OFFSITE_PLUS = "offsite-plus"
+    OFFSITE_BOTH = "offsite-both"
+    ONSITE_MINUS = "onsite-minus"
+    ONSITE_PLUS = "onsite-plus"
+    ONSITE_BOTH = "onsite-both"
+
+    @property
+    def onsite(self) -> bool:
+        return self.value.startswith("onsite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +263,6 @@ def draw_unitaries(
     return out
 
 
-def _case_name(case) -> str:
-    name = str(getattr(case, "value", case))
-    if name not in CASE_NAMES:
-        raise ValueError(f"unknown variance case {name!r}")
-    return name
-
-
 def grad_variance_mps(
     case,
     n: int,
@@ -294,13 +292,12 @@ def grad_variance_mps(
     gradients of a batch are then evaluated together by
     ``ansatz.grad_ring``, bitwise equal to ``grad_site`` per sample.
     """
-    name = _case_name(case)
-    onsite = name.startswith("onsite")
+    case = VarianceCase(case)
     if n < 2:
         raise ValueError("need at least two sites")
     if D < 1 or d < 2:
         raise ValueError("need bond dim >= 1 and physical dim >= 2")
-    if onsite:
+    if case.onsite:
         site_m = 0
     else:
         if delta is None or not 1 <= delta <= n - 1:
@@ -322,7 +319,7 @@ def grad_variance_mps(
     fixed_o = None if callable(o_builder) else _observable(o_builder, d)
     haar = EnsembleSpec.haar(dim)
     split = {"minus": (haar, partner), "plus": (partner, haar), "both": (haar, haar)}
-    specs = (*split[name.rpartition("-")[2]], *(sites,) * (n - 1))
+    specs = (*split[case.value.rpartition("-")[2]], *(sites,) * (n - 1))
 
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         if fixed_o is None:

@@ -27,20 +27,10 @@ class PermLabel(enum.Enum):
     S = "S"
     A = "A"
 
-
-@dataclass(frozen=True, eq=False)
-class TwoCopyOperator:
-    """Operator on two copies of an N-dimensional space (an N² x N² matrix)."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n2 = self.dim * self.dim
-        if self.dim < 1 or m.shape != (n2, n2):
-            raise ValueError(f"two-copy operator on dim {self.dim} must be {n2}x{n2}")
-        object.__setattr__(self, "matrix", m)
+    @property
+    def index(self) -> int:
+        """Row and column of this pairing in ``DesignConstants.chain``."""
+        return 0 if self is PermLabel.S else 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +61,19 @@ class DesignConstants:
         q = (D * d) ** 2 - 1
         return cls(D=D, d=d, q=float(q), xi=D * (d**2 - 1) / q, eta=d * (D**2 - 1) / q)
 
+    def chain(self, L: int) -> np.ndarray:
+        """T^L for the one-site pairing transfer T = [[1, xi], [0, eta]].
 
-def perm_ops(n_dim: int) -> tuple[TwoCopyOperator, TwoCopyOperator]:
+        Rows and columns are the pairings (S, A) at the chain's two ends:
+        T^L = [[1, xi (1 + eta + ... + eta^(L-1))], [0, eta^L]], and L = 0
+        gives the identity.
+        """
+        if L < 0:
+            raise ValueError("chain length must be >= 0")
+        return np.linalg.matrix_power(np.array([[1.0, self.xi], [0.0, self.eta]]), int(L))
+
+
+def perm_ops(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-copy identity and swap on an n_dim-dimensional single-copy space."""
     if n_dim < 1:
         raise ValueError("n_dim must be >= 1")
@@ -81,7 +82,7 @@ def perm_ops(n_dim: int) -> tuple[TwoCopyOperator, TwoCopyOperator]:
     # swap (v (x) w) = w (x) v
     swap = np.eye(n2, dtype=complex).reshape(n_dim, n_dim, n_dim, n_dim)
     swap = swap.transpose(1, 0, 2, 3).reshape(n2, n2)
-    return TwoCopyOperator(n_dim, ident), TwoCopyOperator(n_dim, swap)
+    return ident, swap
 
 
 def second_moment(x, n_dim: int) -> np.ndarray:
@@ -99,11 +100,11 @@ def second_moment(x, n_dim: int) -> np.ndarray:
         raise ValueError(f"expected a {n * n}x{n * n} matrix, got {x.shape}")
     ident, swap = perm_ops(n)
     tr_x = np.trace(x)
-    tr_xs = np.trace(x @ swap.matrix)
+    tr_xs = np.trace(x @ swap)
     qp = n * n - 1.0
     c_i = (tr_x - tr_xs / n) / qp
     c_s = (tr_xs - tr_x / n) / qp
-    return c_i * ident.matrix + c_s * swap.matrix
+    return c_i * ident + c_s * swap
 
 
 _BATCH = 4096
@@ -148,27 +149,16 @@ def mc_twirl(x, n_dim: int, samples: int, seed: int) -> np.ndarray:
     return acc / samples
 
 
-def _gamma(eta: float, length: int) -> float:
-    # partial geometric sum 1 + eta + ... + eta^(L-1); eta == 1 only at d == 1
-    if eta == 1.0:
-        return float(length)
-    return (1.0 - eta**length) / (1.0 - eta)
-
-
 def tree_chain(left: PermLabel, right: PermLabel, chain_len: int, dc: DesignConstants) -> float:
     """Scalar value of a chain of L twirled sites between two pairings.
 
     chain_len = 0 denotes the single-vertex diagram, which coincides with
     the L = 1 chain: (S,S) -> 1, (S,A) -> xi, (A,S) -> 0, (A,A) -> eta.
-    For longer chains the crossed-crossed entry decays as eta^L and the
-    straight-crossed entry grows as xi * (1 - eta^L)/(1 - eta).
+    Longer chains are the (left, right) entry of ``dc.chain(L)``.
     """
     if chain_len < 0:
         raise ValueError("chain_len must be >= 0")
-    length = max(int(chain_len), 1)
-    if left is PermLabel.S:
-        return 1.0 if right is PermLabel.S else dc.xi * _gamma(dc.eta, length)
-    return 0.0 if right is PermLabel.S else dc.eta**length
+    return float(dc.chain(max(chain_len, 1))[left.index, right.index])
 
 
 def o_tree(left: PermLabel, right: PermLabel, o, dc: DesignConstants) -> float:

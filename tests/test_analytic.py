@@ -16,8 +16,6 @@ from plateau.analytic import (
     VarianceQuery,
     c4_closed,
     c_constants_mc,
-    design_constants,
-    gamma,
     variance_bound_onsite_minus,
     variance_formula,
     variance_large_n,
@@ -25,6 +23,7 @@ from plateau.analytic import (
 from plateau.costs import epsilon
 from plateau.linalg import HermitianObservable, gue_hermitian, pauli_string
 from plateau.mc import EnsembleSpec, grad_variance_mps
+from plateau.twirl import DesignConstants
 
 Z = HermitianObservable(pauli_string("Z"))
 P0 = HermitianObservable(np.diag([1.0, 0.0]))
@@ -38,7 +37,7 @@ def closed(value):
 def haar_constants(g, o, D, d):
     # exact ensemble averages of the one-sided constants, from the design
     # constants and the closed-form c4
-    dc = design_constants(D, d)
+    dc = DesignConstants.from_dims(D, d)
     c4 = c4_closed(g.matrix, D, d)
     eps = epsilon(o.matrix, d)
     t1 = np.trace(o.matrix).real
@@ -57,19 +56,20 @@ def query(case, n, o=Z, delta=None):
 
 
 def test_design_constants_spots():
-    dc = design_constants(2, 2)
+    dc = DesignConstants.from_dims(2, 2)
     assert (dc.q, dc.xi, dc.eta) == (15.0, 0.4, 0.4)
-    dc32 = design_constants(3, 2)
+    dc32 = DesignConstants.from_dims(3, 2)
     assert (dc32.q, dc32.xi, dc32.eta) == (35.0, pytest.approx(9 / 35), pytest.approx(16 / 35))
 
 
-def test_gamma_spots():
-    dc = design_constants(2, 2)
-    assert gamma(0, dc) == 0.0
-    assert gamma(1, dc) == 1.0
-    assert gamma(3, dc) == pytest.approx(1.56)
+def test_chain_spots():
+    # the (S, A) entry of the pairing chain is xi * (1 + eta + ... + eta^(L-1))
+    dc = DesignConstants.from_dims(2, 2)
+    assert dc.chain(0)[0, 1] == 0.0
+    assert dc.chain(1)[0, 1] == 0.4
+    assert dc.chain(3)[0, 1] == pytest.approx(0.624)
     with pytest.raises(ValueError):
-        gamma(-1, dc)
+        dc.chain(-1)
 
 
 def test_c4_closed_values():
@@ -80,14 +80,41 @@ def test_c4_closed_values():
     assert c4_closed(h, 2, 2) == pytest.approx(2.0 * (-(t1**2) + 4.0 * t2))
 
 
-def test_frozen_onsite_both_values():
-    cc = CConstants(c4=closed(32.0))
-    assert variance_formula(query(VarianceCase.ONSITE_BOTH, 2), cc) == pytest.approx(
-        121.6 / 225.0, abs=1e-15
+# n = 5, delta = 2 off site, O = diag(1, 1/4), constants below; values from
+# the per-case closed forms before they became one pairing-chain evaluator
+FROZEN = [
+    ("offsite-minus", 2, 2, 0.016597333333333339, 0.0053333333333333349),
+    ("offsite-plus", 2, 2, 0.016597333333333339, 0.0053333333333333358),
+    ("offsite-both", 2, 2, 0.016597333333333339, 0.0053333333333333358),
+    ("onsite-minus", 2, 2, 0.25645511111111113, 0.23703703703703707),
+    ("onsite-plus", 2, 2, 0.044597333333333343, 0.03333333333333334),
+    ("onsite-both", 2, 2, 0.044597333333333343, 0.03333333333333334),
+    ("offsite-minus", 3, 2, 0.0096041049562682231, 0.0012373791621911919),
+    ("offsite-plus", 3, 2, 0.010622797538062844, 0.0017912536443148684),
+    ("offsite-both", 3, 2, 0.010976119950020825, 0.0014141476139327906),
+    ("onsite-minus", 3, 2, 0.091105651586971009, 0.074853801169590631),
+    ("onsite-plus", 3, 2, 0.017402972465176542, 0.0085714285714285701),
+    ("onsite-both", 3, 2, 0.016328889629321115, 0.0067669172932330809),
+]
+
+
+@pytest.mark.parametrize(
+    "case,D,d,finite,large", [pytest.param(*row, id=f"{row[0]}-{row[1]}x{row[2]}") for row in FROZEN]
+)
+def test_frozen_values(case, D, d, finite, large):
+    cc = CConstants(
+        c1=closed(12.8), c2=closed(32 / 15), c3=closed(112 / 15),
+        c4=closed(32.0), c5=closed(128 / 15), c6=closed(256 / 15),
     )
-    assert variance_large_n(query(VarianceCase.ONSITE_BOTH, 2), cc) == pytest.approx(
-        320.0 / 1350.0, abs=1e-15
-    )
+    case = VarianceCase(case)
+    vq = VarianceQuery(case, 5, D, d, np.eye(D * d), np.diag([1.0, 0.25]), None if case.onsite else 2)
+    assert variance_formula(vq, cc) == pytest.approx(finite, rel=1e-12)
+    assert variance_large_n(vq, cc) == pytest.approx(large, rel=1e-12)
+    if (case, D) == (VarianceCase.ONSITE_BOTH, 2):
+        # hand-computed at n = 2, O = Z, c4 only
+        cc = CConstants(c4=closed(32.0))
+        assert variance_formula(query(case, 2), cc) == pytest.approx(121.6 / 225.0, abs=1e-15)
+        assert variance_large_n(query(case, 2), cc) == pytest.approx(320.0 / 1350.0, abs=1e-15)
 
 
 def test_constant_estimates_match_exact_ensemble_averages():

@@ -93,7 +93,7 @@ def test_transfer_spectral_radius_bounded():
         D = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         t = transfer(haar_unitary(D * d, rng), None, D, d)
-        radius = np.max(np.abs(np.linalg.eigvals(t.matrix)))
+        radius = np.max(np.abs(np.linalg.eigvals(t)))
         assert radius <= 1.0 + 1e-10
 
 

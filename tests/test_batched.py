@@ -104,7 +104,7 @@ def mps_oracle(case, n, D, d, delta, o_builder, g, partner, sites, seed, samples
     return np.array(out)
 
 
-@pytest.mark.parametrize("case", mc.CASE_NAMES)
+@pytest.mark.parametrize("case", [c.value for c in VarianceCase])
 @pytest.mark.parametrize("partner", ["haar", "pauli"])
 @pytest.mark.parametrize("builder", ["fixed", "callable"])
 def test_mps_sampler_matches_per_sample(batched_values, case, partner, builder):

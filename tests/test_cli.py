@@ -133,6 +133,12 @@ def test_bad_inputs_exit_two(tmp_path):
         "circuit", "--layout", "file", "--layout-file", str(bad), "--samples", "100"
     ).returncode == 2
     assert run_cli("variance", "--unknown-flag").returncode == 2
+    r = run_cli("variance", "--O", "diag:1,x", "--n", "2", "--samples", "100", "--const-samples", "100")
+    assert r.returncode == 2
+    assert "--O" in r.stderr
+    r = run_cli("circuit", "--obs-qubits", "x", "--samples", "100")
+    assert r.returncode == 2
+    assert "--obs-qubits" in r.stderr
 
 
 def test_unknown_config_key_is_rejected(tmp_path):
@@ -148,3 +154,27 @@ def test_out_of_range_n_names_the_flag():
     r = run_cli("haar-epsilon", "--n", "0", "--samples", "100")
     assert r.returncode == 2
     assert "--n must be >= 1" in r.stderr
+
+
+@pytest.mark.parametrize("command,line", [
+    ("variance", "format=xml"),
+    ("identities", "format=csv"),
+    ("variance", "verify=1"),
+])
+def test_bad_config_choice_is_rejected(tmp_path, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"samples=100\n{line}\n")
+    r = run_cli(command, "--config", str(cfg))
+    assert r.returncode == 2
+    assert f"{line.split('=')[0]} must be one of" in r.stderr
+    assert f"{cfg}:2" in r.stderr
+
+
+def test_config_verify_is_honoured(tmp_path):
+    base = "samples=300\nconst-samples=300\ncase=onsite-both\nn=2\n"
+    for value, said in (("true", True), ("false", False)):
+        cfg = tmp_path / f"verify-{value}.cfg"
+        cfg.write_text(base + f"verify={value}\n")
+        r = run_cli("variance", "--config", str(cfg))
+        assert r.returncode == 0, r.stderr
+        assert ("verification ok" in r.stderr) is said

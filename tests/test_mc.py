@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plateau.linalg import HermitianObservable, UnitaryGate, pauli_string
-from plateau.mc import CASE_NAMES, EnsembleSpec, EstimateResult, estimate, grad_variance_mps
+from plateau.mc import EnsembleSpec, EstimateResult, VarianceCase, estimate, grad_variance_mps
 
 
 def per_index(fn):
@@ -143,7 +143,7 @@ def test_grad_variance_zero_mean_onsite():
 def test_grad_variance_accepts_all_cases():
     o = HermitianObservable(pauli_string("Z"))
     g = HermitianObservable(pauli_string("ZI"))
-    for case in CASE_NAMES:
+    for case in [c.value for c in VarianceCase]:
         delta = 1 if case.startswith("offsite") else None
         r = grad_variance_mps(
             case, n=3, D=2, d=2, delta=delta, o_builder=lambda rng: o.matrix, g=g,

@@ -32,7 +32,7 @@ def rng_for(seed):
 def haar_two_copy_trace(x, r, nn):
     # E_U Tr[(U(x)U) x (U(x)U)^dag r] via the Weingarten sum over the two
     # pair permutations; factorizes into row and column loop traces
-    swap = perm_ops(nn)[1].matrix
+    swap = perm_ops(nn)[1]
     tr = {0: np.trace(x), 1: np.trace(x @ swap)}
     tr_r = {0: np.trace(r), 1: np.trace(r @ swap)}
     val = 0.0 + 0.0j
@@ -86,9 +86,8 @@ def oracle_value(left, right, dc, o=None):
 
 
 def test_perm_ops():
-    ident, swap = perm_ops(3)
-    assert np.array_equal(ident.matrix, np.eye(9))
-    sw = swap.matrix
+    ident, sw = perm_ops(3)
+    assert np.array_equal(ident, np.eye(9))
     assert np.allclose(sw @ sw, np.eye(9))
     assert np.trace(sw) == pytest.approx(3.0)
     rng = rng_for(0)
@@ -101,7 +100,7 @@ def test_second_moment_projector_example():
     e00 = np.zeros((4, 4))
     e00[0, 0] = 1.0
     ident, swap = perm_ops(2)
-    expect = (ident.matrix + swap.matrix) / 6.0
+    expect = (ident + swap) / 6.0
     assert np.allclose(second_moment(np.kron(e00[:2, :2], e00[:2, :2]), 2), expect)
 
 
@@ -115,7 +114,7 @@ def test_second_moment_channel_properties():
     assert abs(np.trace(phi_x) - np.trace(x)) < 1e-10
     assert np.allclose(second_moment(phi_x, n), phi_x)
     assert np.allclose(second_moment(np.eye(9), n), np.eye(9))
-    swap = perm_ops(n)[1].matrix
+    swap = perm_ops(n)[1]
     assert np.allclose(second_moment(swap, n), swap)
     with pytest.raises(ValueError):
         second_moment(np.eye(1), 1)
@@ -170,6 +169,14 @@ def test_tree_chain_closed_forms_and_recursion():
             assert tree_chain(A, S, length, dcc) == 0.0
     with pytest.raises(ValueError):
         tree_chain(S, S, -1, dc)
+
+
+def test_tree_chain_at_eta_one():
+    # d = 1: xi = 0 and eta = 1, so the chain is the identity at every length
+    dc = DesignConstants.from_dims(3, 1)
+    assert (dc.xi, dc.eta) == (0.0, 1.0)
+    for length in (0, 1, 2, 7, 40):
+        assert [tree_chain(l, r, length, dc) for l in (S, A) for r in (S, A)] == [1.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
