@@ -106,15 +106,18 @@ def _parse_generator(spec: str, dim: int) -> np.ndarray:
     if kind == "zero":
         return np.zeros((dim, dim))
     if kind == "gue":
-        seed = _as_int(arg or "0", "generator seed")
+        seed = _as_int(arg or "0", "--generator gue seed")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         return gue_hermitian(dim, rng).matrix
     if kind == "pauli":
-        m = pauli_string(arg)
+        try:
+            m = pauli_string(arg)
+        except ValueError as exc:
+            raise ConfigError(f"--generator: {exc}") from exc
         if m.shape != (dim, dim):
-            raise ConfigError(f"pauli generator {arg!r} has dim {m.shape[0]}, need {dim}")
+            raise ConfigError(f"--generator pauli string {arg!r} has dim {m.shape[0]}, need {dim}")
         return m
-    raise ConfigError(f"unknown generator spec {spec!r} (use gue:SEED, pauli:XY.., zero)")
+    raise ConfigError(f"--generator: unknown spec {spec!r} (use gue:SEED, pauli:XY.., zero)")
 
 
 def _parse_observable(spec: str, d: int) -> np.ndarray:
@@ -136,9 +139,9 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
             raise ConfigError(f"--O diag observable needs {d} entries")
         return np.diag(vals)
     if kind == "gue":
-        rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "observable seed")))
+        rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "--O gue seed")))
         return gue_hermitian(d, rng).matrix
-    raise ConfigError(f"unknown observable spec {spec!r}")
+    raise ConfigError(f"--O: unknown observable spec {spec!r} (use I, diag:A,B,.., gue:SEED, or Z, p0, X at d = 2)")
 
 
 def _load_config(path: Optional[str], keys: set, choices: dict) -> dict:

@@ -6,9 +6,10 @@ two-copy identity and swap,
     E_U[(U (x) U) x (U (x) U)^dag] = c_I * II + c_S * SS,
 
 and chaining twirled sites yields scalar tree values parameterized by
-which pairing (straight or crossed) sits on each side.  ``diagram_*``
-contract those networks directly; ``tree_chain`` and ``o_tree`` are the
-closed forms they must reproduce.
+which pairing (straight or crossed) sits on each side.  ``diagram_exact``
+contracts those networks through the exact channel and ``diagram_mc``
+samples them per copy; ``tree_chain`` and ``o_tree`` are the closed forms
+they must reproduce.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def second_moment(x, n_dim: int) -> np.ndarray:
 
 
 _BATCH = 4096
+_SLICE = 256
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +131,9 @@ def mc_twirl(x, n_dim: int, samples: int, seed: int) -> np.ndarray:
     """Sample average of (U (x) U) x (U (x) U)^dag over Haar draws.
 
     Draws run in fixed-size batches in index order, so a given seed yields
-    a bitwise reproducible matrix.  Empirical counterpart of ``second_moment``.
+    a bitwise reproducible matrix.  Each batch is contracted in fixed
+    slices of ``_SLICE`` draws, so at most that many two-copy matrices are
+    held at once.  Empirical counterpart of ``second_moment``.
     """
     x = _mat(x)
     n = int(n_dim)
@@ -142,9 +146,10 @@ def mc_twirl(x, n_dim: int, samples: int, seed: int) -> np.ndarray:
     done = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        w = _two_copy_batch(_haar_batch(n, count, rng))
-        y = w @ x @ w.conj().transpose(0, 2, 1)
-        acc += y.sum(axis=0)
+        u = _haar_batch(n, count, rng)
+        for lo in range(0, count, _SLICE):
+            w = _two_copy_batch(u[lo : lo + _SLICE])
+            acc += (w @ x @ w.conj().transpose(0, 2, 1)).sum(axis=0)
         done += count
     return acc / samples
 
@@ -187,15 +192,49 @@ def o_tree(left: PermLabel, right: PermLabel, o, dc: DesignConstants) -> float:
 
 
 # ---------------------------------------------------------------------------
-# direct diagram contraction
+# diagram contraction
 #
-# The tree diagrams are contracted literally: the left pairing becomes a
-# two-copy input operator with the physical legs fixed to |0><0|, the site
-# box becomes the two-copy twirl channel, and the right pairing becomes a
-# readout functional tracing the bond legs straight or crossed with one
+# A single-vertex tree diagram pairs two copies of one site gate.  The left
+# pairing is a two-copy input operator with the physical legs fixed to
+# |0><0|, the site box is the two-copy twirl channel, and the right pairing
+# is a readout functional tracing the bond legs straight or crossed with one
 # copy of O on each physical leg.  Left pairings enter through the dual
 # basis of the bond Gram matrix [[D², D], [D, D²]]; that normalization is
 # what lets chained vertices compose as plain products over {S, A}.
+# ``diagram_exact`` builds these two-copy operators literally and applies
+# ``second_moment``.
+#
+# For a single draw U the four (input, readout) pairings are single-copy
+# traces.  With rho = U Pi U^dag, Pi = I_D (x) |0><0| and M = (I_D (x) O) rho,
+#
+#     (S,S) = Tr(M)²              (S,A) = Tr(Tr_phys(M)²)
+#     (A,S) = Tr(M²)              (A,A) = Tr(Tr_bond(M)²)
+#
+# so ``diagram_mc`` never forms U (x) U; the literal two-copy contraction
+# stays as its test oracle.
+
+
+def _pairing_traces(u: np.ndarray, o, D: int, d: int) -> np.ndarray:
+    """(B, 2, 2) pairing values, indexed [draw, input, readout], of a stack
+    of (Dd)x(Dd) site gates ``u`` with the d x d observable ``o`` read out.
+
+    Rows and columns follow ``PermLabel.index``.  Each entry is the two-copy
+    trace Tr[(U (x) U) x_in (U (x) U)^dag r_out] on the undualized pairing
+    input, computed per copy in O(B D² d (D + d)) after the draw.
+    """
+    b = u.shape[0]
+    v = u[:, :, ::d].reshape(b, D, d, D)  # U Pi: columns with physical index 0
+    w = _mat(o) @ v  # (I_D (x) O) U Pi
+    cv = v.conj()
+    tr_m = np.einsum("bask,bask->b", w, cv)
+    g = np.einsum("bask,basl->bkl", cv, w)  # Pi U^dag (I_D (x) O) U Pi: Tr(M²) = Tr(G²)
+    p = np.einsum("bask,bcsk->bac", w, cv)  # Tr_phys(M)
+    q = np.einsum("bask,batk->bst", w, cv)  # Tr_bond(M)
+
+    def tr_sq(m):
+        return np.einsum("bij,bji->b", m, m)
+
+    return np.stack([tr_m * tr_m, tr_sq(p), tr_sq(g), tr_sq(q)], axis=-1).real.reshape(b, 2, 2)
 
 
 def _pair_input(label: PermLabel, D: int, d: int) -> np.ndarray:
@@ -261,21 +300,29 @@ def diagram_mc(
     seed: int,
     o=None,
 ) -> tuple[float, float]:
-    """Monte-Carlo contraction of the same diagram; returns (mean, stderr)."""
+    """Monte-Carlo contraction of the same diagram; returns (mean, stderr).
+
+    The Haar draws come from one stream in batches of ``_BATCH``, as in
+    ``mc_twirl``.  Each draw is read out per copy through
+    ``_pairing_traces``, and the dual left pairing is the combination
+    (x_left - x_other / D) / (D² - 1) of its two input rows.
+    """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    o = np.eye(dc.d) if o is None else _mat(o)
-    n = dc.D * dc.d
-    x = _dual_input(left, dc.D, dc.d)
-    r = _pair_readout(right, o, dc.D, dc.d)
+    D, d = dc.D, dc.d
+    if D < 2:
+        raise ValueError("the two bond pairings are degenerate below D = 2")
+    o = np.eye(d) if o is None else _mat(o)
+    if o.shape != (d, d):
+        raise ValueError(f"observable must be {d}x{d}")
+    own, other = left.index, 1 - left.index
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     vals = np.empty(samples)
     done = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        w = _two_copy_batch(_haar_batch(n, count, rng))
-        y = w @ x @ w.conj().transpose(0, 2, 1)
-        vals[done : done + count] = np.einsum("bij,ji->b", y, r).real
+        t = _pairing_traces(_haar_batch(D * d, count, rng), o, D, d)[:, :, right.index]
+        vals[done : done + count] = (t[:, own] - t[:, other] / D) / (D * D - 1.0)
         done += count
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))

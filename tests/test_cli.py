@@ -139,6 +139,10 @@ def test_bad_inputs_exit_two(tmp_path):
     r = run_cli("circuit", "--obs-qubits", "x", "--samples", "100")
     assert r.returncode == 2
     assert "--obs-qubits" in r.stderr
+    for flag, spec in (("--O", "gue:x"), ("--O", "bogus:x"), ("--generator", "gue:x"), ("--generator", "pauli:Q")):
+        r = run_cli("variance", flag, spec, "--n", "2", "--samples", "100", "--const-samples", "100")
+        assert r.returncode == 2
+        assert flag in r.stderr
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

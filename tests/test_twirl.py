@@ -7,11 +7,19 @@ production evaluator and the oracle share no code path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plateau import twirl
 from plateau.linalg import gue_hermitian
 from plateau.twirl import (
     DesignConstants,
     PermLabel,
+    _dual_input,
+    _haar_batch,
+    _pair_input,
+    _pair_readout,
+    _pairing_traces,
+    _two_copy_batch,
     diagram_exact,
     diagram_mc,
     mc_twirl,
@@ -227,3 +235,65 @@ def test_diagram_rejects_trivial_bond():
     dc = DesignConstants.from_dims(1, 2)
     with pytest.raises(ValueError):
         diagram_exact(S, S, dc)
+
+
+def two_copy_diagram_values(left, right, dc, samples, seed, o):
+    # the literal contraction Tr[(U(x)U) x_dual (U(x)U)^dag r] on the draws
+    # diagram_mc makes: one stream, batches of twirl._BATCH
+    x = _dual_input(left, dc.D, dc.d)
+    r = _pair_readout(right, np.eye(dc.d) if o is None else o, dc.D, dc.d)
+    rng = rng_for(seed)
+    vals = []
+    for lo in range(0, samples, twirl._BATCH):
+        w = _two_copy_batch(_haar_batch(dc.D * dc.d, min(twirl._BATCH, samples - lo), rng))
+        y = w @ x @ w.conj().transpose(0, 2, 1)
+        vals.append(np.einsum("bij,ji->b", y, r).real)
+    return np.concatenate(vals)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
+def test_diagram_mc_matches_two_copy_contraction(dims, monkeypatch):
+    # a small batch size puts batch boundaries inside the sample range
+    monkeypatch.setattr(twirl, "_BATCH", 96)
+    dc = DesignConstants.from_dims(*dims)
+    samples = 250
+    for o in (None, gue_hermitian(dc.d, rng_for(17)).matrix):
+        for i, (left, right) in enumerate((l, r) for l in PermLabel for r in PermLabel):
+            vals = two_copy_diagram_values(left, right, dc, samples, 40 + i, o)
+            mean, stderr = diagram_mc(left, right, dc, samples, 40 + i, o)
+            assert mean == pytest.approx(np.mean(vals), abs=1e-12)
+            assert stderr == pytest.approx(np.std(vals, ddof=1) / np.sqrt(samples), abs=1e-12)
+
+
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=40)
+def test_pairing_traces_match_two_copy_trace(D, d, seed):
+    rng = rng_for(seed)
+    u = _haar_batch(D * d, 3, rng)
+    o = gue_hermitian(d, rng).matrix
+    got = _pairing_traces(u, o, D, d)
+    w = _two_copy_batch(u)
+    for left in PermLabel:
+        y = w @ _pair_input(left, D, d) @ w.conj().transpose(0, 2, 1)
+        for right in PermLabel:
+            want = np.einsum("bij,ji->b", y, _pair_readout(right, o, D, d))
+            assert np.max(np.abs(got[:, left.index, right.index] - want)) <= 1e-12
+
+
+def test_mc_twirl_slices_match_unsliced(monkeypatch):
+    monkeypatch.setattr(twirl, "_BATCH", 700)
+    x = rng_for(3).standard_normal((9, 9)) + 1j * rng_for(4).standard_normal((9, 9))
+    samples = 1500
+    rng = rng_for(11)
+    acc = np.zeros((9, 9), dtype=complex)
+    for lo in range(0, samples, twirl._BATCH):
+        w = _two_copy_batch(_haar_batch(3, min(twirl._BATCH, samples - lo), rng))
+        acc += (w @ x @ w.conj().transpose(0, 2, 1)).sum(axis=0)
+    assert np.max(np.abs(mc_twirl(x, 3, samples, seed=11) - acc / samples)) <= 1e-12
+
+
+def test_diagram_mc_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        diagram_mc(S, S, DesignConstants.from_dims(1, 2), samples=10, seed=0)
+    with pytest.raises(ValueError):
+        diagram_mc(S, S, DesignConstants.from_dims(2, 2), samples=10, seed=0, o=np.eye(3))
