@@ -1,8 +1,6 @@
 """Gradient-variance analysis for unitarily embedded MPS ansatze."""
 
 from .linalg import (
-    HermitianObservable,
-    UnitaryGate,
     gue_hermitian,
     haar_state,
     haar_unitary,
@@ -24,7 +22,6 @@ from .twirl import (
 )
 from .ansatz import (
     MpsAnsatz,
-    SiteDecomposition,
     cost,
     cost_statevector,
     grad_fd,
@@ -37,8 +34,6 @@ from .mc import EnsembleSpec, EstimateResult, estimate, grad_variance_mps
 from .costs import (
     ClampWarning,
     CostKind,
-    CostObservable,
-    OutputDistribution,
     cross_entropy,
     epsilon,
     haar_avg_epsilon_mc,
@@ -62,7 +57,6 @@ from .analytic import (
     variance_large_n,
 )
 from .circuit import (
-    CircuitDerivative,
     LayeredCircuit,
     brick_supports,
     circuit_cost,

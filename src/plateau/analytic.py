@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import epsilon
-from .linalg import HermitianObservable, _mat, partial_trace
+from .linalg import check_hermitian, partial_trace
 from .mc import EnsembleSpec, VarianceCase, draw_unitaries, estimate
 from .twirl import DesignConstants, PermLabel
 
@@ -41,12 +41,15 @@ CASE_CONSTANTS = {
 
 @dataclass(frozen=True, eq=False)
 class VarianceQuery:
+    """One closed-form evaluation point; g (Dd x Dd) and o (d x d) are
+    checked Hermitian here and stored as complex arrays."""
+
     case: VarianceCase
     n: int
     D: int
     d: int
-    g: HermitianObservable
-    o: HermitianObservable
+    g: np.ndarray
+    o: np.ndarray
     delta: Optional[int] = None
 
     def __post_init__(self):
@@ -54,10 +57,12 @@ class VarianceQuery:
             raise ValueError("need at least two sites")
         if self.D < 1 or self.d < 2:
             raise ValueError("need bond dim >= 1 and physical dim >= 2")
-        if _mat(self.g).shape != (self.D * self.d,) * 2:
+        if np.shape(self.g) != (self.D * self.d,) * 2:
             raise ValueError("generator must act on the full site (D*d)")
-        if _mat(self.o).shape != (self.d, self.d):
+        if np.shape(self.o) != (self.d, self.d):
             raise ValueError("observable must act on the physical space (d)")
+        object.__setattr__(self, "g", check_hermitian(self.g))
+        object.__setattr__(self, "o", check_hermitian(self.o))
         if not self.case.onsite:
             cut = _SHAPES[self.case][2]
             if self.delta is None or not 1 <= self.delta <= self.n - cut:
@@ -100,7 +105,6 @@ class CConstants:
 
 def c4_closed(g, D: int, d: int) -> float:
     """C4 = 2[-Tr(G)^2 + Dd Tr(G^2)], exact for any generator."""
-    g = _mat(g)
     if g.shape != (D * d, D * d):
         raise ValueError(f"generator must be {D * d}x{D * d}")
     t1 = np.trace(g).real
@@ -131,13 +135,12 @@ def _integrand(name: str, u: np.ndarray, g: np.ndarray, o, D: int, d: int) -> fl
         rho = _rho_of(u, D, d)
         val = -np.trace(rho @ g) ** 2 + D * np.trace(rho @ g @ g)
     elif name == "c5":
-        sigma = _sigma_of(u, _mat(o), D)
+        sigma = _sigma_of(u, o, D)
         val = np.trace(sigma @ g @ (g @ sigma - sigma @ g))
     elif name == "c6":
-        om = _mat(o)
         m1 = partial_trace(u.conj().T @ g @ u, [D, d], {1})
         m2 = partial_trace(u.conj().T @ g @ g @ u, [D, d], {1})
-        val = -np.trace(m1 @ om @ m1 @ om) + D * np.trace(m2 @ om @ om)
+        val = -np.trace(m1 @ o @ m1 @ o) + D * np.trace(m2 @ o @ o)
     else:
         raise ValueError(f"unknown constant {name!r}")
     return float(val.real)
@@ -166,13 +169,12 @@ def _integrands(name: str, u: np.ndarray, g: np.ndarray, o, D: int, d: int) -> n
         else:
             val = -np.power(tr(rho @ g), 2) + D * tr(rho @ g @ g)
     elif name == "c5":
-        sigma = _sigma_of(u, _mat(o), D)
+        sigma = _sigma_of(u, o, D)
         val = tr(sigma @ g @ (g @ sigma - sigma @ g))
     elif name == "c6":
-        om = _mat(o)
         m1 = _bond_trace(uh @ g @ u, D, d)
         m2 = _bond_trace(uh @ g @ g @ u, D, d)
-        val = -tr(m1 @ om @ m1 @ om) + D * tr(m2 @ om @ om)
+        val = -tr(m1 @ o @ m1 @ o) + D * tr(m2 @ o @ o)
     else:
         raise ValueError(f"unknown constant {name!r}")
     return val.real
@@ -195,7 +197,6 @@ def c_constants_mc(
     u_minus draws; ``ensemble`` is that unitary's distribution (default
     haar).  Each constant is twice the ensemble mean of its integrand.
     """
-    g = _mat(g)
     need = [c for c in CASE_CONSTANTS[case] if c != "c4"]
     if any(c in ("c5", "c6") for c in need) and o is None:
         raise ValueError("on-site minus constants depend on the observable")
@@ -216,8 +217,7 @@ def c_constants_mc(
 
 
 def _terms(vq: VarianceQuery) -> tuple[DesignConstants, float, float]:
-    o = _mat(vq.o)
-    return DesignConstants.from_dims(vq.D, vq.d), epsilon(o, vq.d), float(np.trace(o).real) ** 2
+    return DesignConstants.from_dims(vq.D, vq.d), epsilon(vq.o, vq.d), float(np.trace(vq.o).real) ** 2
 
 
 # Boundary coefficients K over {S, A} from the case's constants; K[A, S]
@@ -280,6 +280,6 @@ def variance_bound_onsite_minus(vq: VarianceQuery, g=None) -> float:
     if not vq.case.onsite:
         raise ValueError("the bound applies to on-site cases")
     dc, eps, _ = _terms(vq)
-    gm = _mat(vq.g if g is None else g)
+    gm = vq.g if g is None else g
     gnorm = float(np.max(np.abs(np.linalg.eigvalsh(gm))))
     return eps * 4.0 * gnorm**2 / dc.q * (1.0 + vq.D * vq.d * dc.xi / (1.0 - dc.eta))

@@ -10,18 +10,20 @@ that site's gate.  The state is deliberately not normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, UnitaryGate, _mat
+from .linalg import check_split, check_unitary, real_value, rotation_fd
 
 STATEVECTOR_CAP = 4096
-RING_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class MpsAnsatz:
+    """n site gates on a periodic ring, each a Dd x Dd unitary; the gates
+    are checked here and stored as complex arrays."""
+
     n: int
     D: int
     d: int
@@ -32,42 +34,14 @@ class MpsAnsatz:
             raise ValueError("need at least two sites")
         if self.D < 1 or self.d < 2:
             raise ValueError("need bond dim >= 1 and physical dim >= 2")
-        gates = tuple(self.gates)
+        gates = tuple(np.asarray(g, dtype=complex) for g in self.gates)
         if len(gates) != self.n:
             raise ValueError(f"expected {self.n} gates, got {len(gates)}")
         dim = self.D * self.d
-        for g in gates:
-            if _mat(g).shape != (dim, dim):
-                raise ValueError(f"every site gate must be {dim}x{dim}")
+        if any(g.shape != (dim, dim) for g in gates):
+            raise ValueError(f"every site gate must be {dim}x{dim}")
+        check_unitary(np.stack(gates))
         object.__setattr__(self, "gates", gates)
-
-
-@dataclass(frozen=True, eq=False)
-class SiteDecomposition:
-    """(u_minus, g, u_plus) split of one site gate at the derivative point.
-
-    The gate evaluates to u_minus @ u_plus and its derivative along the
-    generator g is u_minus @ (-i g) @ u_plus; u_plus collects the factors
-    applied first.
-    """
-
-    site: int
-    u_minus: UnitaryGate
-    g: HermitianObservable
-    u_plus: UnitaryGate
-
-    def __post_init__(self):
-        dims = {_mat(x).shape for x in (self.u_minus, self.g, self.u_plus)}
-        if len(dims) != 1:
-            raise ValueError("u_minus, g, u_plus must share one dimension")
-
-    @property
-    def gate_matrix(self) -> np.ndarray:
-        return _mat(self.u_minus) @ _mat(self.u_plus)
-
-    @property
-    def derivative_matrix(self) -> np.ndarray:
-        return _mat(self.u_minus) @ (-1j * _mat(self.g)) @ _mat(self.u_plus)
 
 
 def site_tensor(gate, D: int, d: int) -> np.ndarray:
@@ -75,12 +49,11 @@ def site_tensor(gate, D: int, d: int) -> np.ndarray:
 
     Leading axes of a stack of gates are kept: (..., Dd, Dd) -> (..., d, D, D).
     """
-    u = _mat(gate)
-    if u.shape[-2:] != (D * d, D * d):
+    if gate.shape[-2:] != (D * d, D * d):
         raise ValueError(f"gate must be {D * d}x{D * d}")
     # rows (b, s), columns (a, 0)
-    lead = u.ndim - 2
-    t = u.reshape(*u.shape[:-2], D, d, D, d)[..., 0]
+    lead = gate.ndim - 2
+    t = gate.reshape(*gate.shape[:-2], D, d, D, d)[..., 0]
     return t.transpose(*range(lead), lead + 1, lead + 2, lead)
 
 
@@ -90,9 +63,8 @@ def _transfer_from_tensors(a_ket: np.ndarray, a_bra: np.ndarray, obs) -> np.ndar
     if obs is None:
         e = np.einsum("...sab,...scd->...acbd", a_ket, a_bra.conj())
     else:
-        o = _mat(obs)
         # ket leg rides the column index of O, bra leg the row index
-        e = np.einsum("...st,...tab,...scd->...acbd", o, a_ket, a_bra.conj())
+        e = np.einsum("...st,...tab,...scd->...acbd", obs, a_ket, a_bra.conj())
     return e.reshape(*e.shape[:-4], D * D, D * D)
 
 
@@ -103,7 +75,7 @@ def transfer(gate, obs, D: int, d: int) -> np.ndarray:
     The index order makes Tr[E_1 ... E_n] equal <psi| O_at_site |psi> on
     the periodic ring.
     """
-    if obs is not None and _mat(obs).shape != (d, d):
+    if obs is not None and obs.shape != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
     a = site_tensor(gate, D, d)
     return _transfer_from_tensors(a, a, obs)
@@ -116,17 +88,18 @@ def _ring_trace(mats: Sequence[np.ndarray]) -> complex:
     return complex(np.trace(acc))
 
 
-def _real_ring(value: complex) -> float:
-    if abs(value.imag) > RING_IMAG_TOL * (1.0 + abs(value.real)):
-        raise ArithmeticError(f"ring trace has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def _check_site(m: MpsAnsatz, site_m: int, o) -> None:
     if not 0 <= site_m < m.n:
         raise IndexError(f"observable site {site_m} outside [0, {m.n})")
-    if _mat(o).shape != (m.d, m.d):
+    if np.shape(o) != (m.d, m.d):
         raise ValueError(f"observable must be {m.d}x{m.d}")
+
+
+def _check_split_at(m: MpsAnsatz, site: int, u_minus, g, u_plus, o, site_m: int):
+    _check_site(m, site_m, o)
+    if not 0 <= site < m.n:
+        raise IndexError(f"derivative site {site} outside [0, {m.n})")
+    return check_split(u_minus, g, u_plus, m.D * m.d)
 
 
 def cost(m: MpsAnsatz, o, site_m: int) -> float:
@@ -136,7 +109,7 @@ def cost(m: MpsAnsatz, o, site_m: int) -> float:
         transfer(g, o if i == site_m else None, m.D, m.d)
         for i, g in enumerate(m.gates)
     ]
-    return _real_ring(_ring_trace(mats))
+    return real_value(_ring_trace(mats), "ring trace")
 
 
 def statevector(m: MpsAnsatz) -> np.ndarray:
@@ -156,34 +129,28 @@ def cost_statevector(m: MpsAnsatz, o, site_m: int) -> float:
     """Oracle path for ``cost``: build psi explicitly, apply O densely."""
     _check_site(m, site_m, o)
     psi = statevector(m).reshape(m.d**site_m, m.d, m.d ** (m.n - site_m - 1))
-    opsi = np.einsum("st,atb->asb", _mat(o), psi)
-    return _real_ring(complex(np.vdot(psi, opsi)))
+    opsi = np.einsum("st,atb->asb", o, psi)
+    return real_value(complex(np.vdot(psi, opsi)), "ring trace")
 
 
-def _grad_transfers(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int):
-    if not 0 <= dec.site < m.n:
-        raise IndexError(f"derivative site {dec.site} outside [0, {m.n})")
-    mats = []
-    for i, g in enumerate(m.gates):
-        obs = o if i == site_m else None
-        if i == dec.site:
-            a_ket = site_tensor(dec.derivative_matrix, m.D, m.d)
-            a_bra = site_tensor(dec.gate_matrix, m.D, m.d)
-            mats.append(_transfer_from_tensors(a_ket, a_bra, obs))
-        else:
-            mats.append(transfer(g, obs, m.D, m.d))
-    return mats
-
-
-def grad_site(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int) -> float:
-    """Exact dC along dec's generator; the ansatz gate at dec.site is
+def grad_site(m: MpsAnsatz, site: int, u_minus, g, u_plus, o, site_m: int) -> float:
+    """Exact dC along the generator g at ``site``; the ansatz gate there is
     ignored and replaced by u_minus @ u_plus.
 
-    dC = 2 Re{ ring trace with the ket tensor of site dec.site built from
+    dC = 2 Re{ ring trace with the ket tensor of ``site`` built from
     u_minus @ (-i g) @ u_plus and the bra tensor from u_minus @ u_plus }.
     """
-    _check_site(m, site_m, o)
-    return 2.0 * _ring_trace(_grad_transfers(m, dec, o, site_m)).real
+    um, g, up = _check_split_at(m, site, u_minus, g, u_plus, o, site_m)
+    mats = []
+    for i, gate in enumerate(m.gates):
+        obs = o if i == site_m else None
+        if i == site:
+            a_ket = site_tensor(um @ (-1j * g) @ up, m.D, m.d)
+            a_bra = site_tensor(um @ up, m.D, m.d)
+            mats.append(_transfer_from_tensors(a_ket, a_bra, obs))
+        else:
+            mats.append(transfer(gate, obs, m.D, m.d))
+    return 2.0 * _ring_trace(mats).real
 
 
 def grad_ring(deriv: np.ndarray, gate: np.ndarray, sites: np.ndarray, o, site_m: int,
@@ -212,18 +179,12 @@ def grad_ring(deriv: np.ndarray, gate: np.ndarray, sites: np.ndarray, o, site_m:
     return 2.0 * np.trace(acc, axis1=-2, axis2=-1).real
 
 
-def grad_fd(m: MpsAnsatz, dec: SiteDecomposition, o, site_m: int, h: float = 1e-5) -> float:
+def grad_fd(m: MpsAnsatz, site: int, u_minus, g, u_plus, o, site_m: int, h: float = 1e-5) -> float:
     """Central finite difference of C over theta in u_minus e^{-i theta g} u_plus."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    _check_site(m, site_m, o)
-    w, v = np.linalg.eigh(_mat(dec.g))
-    um, up = _mat(dec.u_minus), _mat(dec.u_plus)
+    split = _check_split_at(m, site, u_minus, g, u_plus, o, site_m)
 
-    def at(theta: float) -> float:
-        gate = um @ (v * np.exp(-1j * theta * w)) @ v.conj().T @ up
-        gates = list(m.gates)
-        gates[dec.site] = UnitaryGate(gate)
-        return cost(MpsAnsatz(m.n, m.D, m.d, tuple(gates)), o, site_m)
+    def at(gate: np.ndarray) -> float:
+        gates = m.gates[:site] + (gate,) + m.gates[site + 1 :]
+        return cost(MpsAnsatz(m.n, m.D, m.d, gates), o, site_m)
 
-    return (at(h) - at(-h)) / (2.0 * h)
+    return rotation_fd(at, *split, h)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, UnitaryGate, _mat, check_unitary
+from .linalg import check_hermitian, check_split, check_unitary, real_value, rotation_fd
 from .mc import EnsembleSpec, EstimateResult, draw_unitaries, estimate
 
 QUBIT_CAP = 12
@@ -20,6 +20,9 @@ QUBIT_CAP = 12
 
 @dataclass(frozen=True, eq=False)
 class LayeredCircuit:
+    """Gates in application order, each a unitary on its qubit support; the
+    gates are checked here and stored as complex arrays."""
+
     n_qubits: int
     gates: tuple  # ((unitary, support), ...) in application order
     observable_layer: int
@@ -27,12 +30,13 @@ class LayeredCircuit:
     def __post_init__(self):
         if not 1 <= self.n_qubits <= QUBIT_CAP:
             raise ValueError(f"need 1 <= n_qubits <= {QUBIT_CAP}")
-        gates = tuple((g, tuple(int(q) for q in s)) for g, s in self.gates)
+        gates = tuple((np.asarray(g, dtype=complex), tuple(int(q) for q in s)) for g, s in self.gates)
         for g, s in gates:
             if len(set(s)) != len(s) or any(q < 0 or q >= self.n_qubits for q in s):
                 raise ValueError(f"bad support {s}")
-            if _mat(g).shape != (2 ** len(s),) * 2:
+            if g.shape != (2 ** len(s),) * 2:
                 raise ValueError(f"gate on support {s} must be {2 ** len(s)}-dimensional")
+            check_unitary(g)
         if not 0 <= self.observable_layer < len(gates):
             raise IndexError("observable_layer out of range")
         object.__setattr__(self, "gates", gates)
@@ -40,19 +44,6 @@ class LayeredCircuit:
     @property
     def supports(self) -> tuple:
         return tuple(s for _, s in self.gates)
-
-
-@dataclass(frozen=True, eq=False)
-class CircuitDerivative:
-    layer: int
-    u_minus: UnitaryGate
-    v_k: HermitianObservable
-    u_plus: UnitaryGate
-
-    def __post_init__(self):
-        dims = {_mat(x).shape for x in (self.u_minus, self.v_k, self.u_plus)}
-        if len(dims) != 1:
-            raise ValueError("u_minus, v_k, u_plus must share one dimension")
 
 
 def brick_supports(n_qubits: int, n_layers: int) -> tuple:
@@ -75,14 +66,13 @@ def apply_gate(state: np.ndarray, gate, support: Sequence[int], n_qubits: int) -
     Each slice is one matrix product, bitwise the unbatched result.
     """
     k = len(support)
-    g = _mat(gate)
     lead = state.shape[:-1]
     psi = state.reshape(*lead, *(2,) * n_qubits)
     nl = len(lead)
     first = [nl + q for q in support]
     rest = [nl + q for q in range(n_qubits) if q not in support]
     cols = psi.transpose(*range(nl), *first, *rest).reshape(*lead, 2**k, -1)
-    out = (g @ cols).reshape(*lead, *(2,) * n_qubits)
+    out = (gate @ cols).reshape(*lead, *(2,) * n_qubits)
     return np.moveaxis(out, range(nl, nl + k), first).reshape(*lead, -1)
 
 
@@ -98,7 +88,7 @@ def _check_obs(c: LayeredCircuit, o_a, a: Sequence[int]) -> tuple:
     a = tuple(int(q) for q in a)
     if len(set(a)) != len(a) or any(q < 0 or q >= c.n_qubits for q in a):
         raise ValueError(f"bad observable support {a}")
-    if _mat(o_a).shape != (2 ** len(a),) * 2:
+    if np.shape(o_a) != (2 ** len(a),) * 2:
         raise ValueError("observable dim must match its support")
     if not set(a) <= set(c.gates[c.observable_layer][1]):
         raise ValueError("observable support must sit inside the observable layer's support")
@@ -118,49 +108,42 @@ def circuit_cost(c: LayeredCircuit, o_a, a: Sequence[int]) -> float:
     """<0...0| U^dag (O_A (x) I) U |0...0> by statevector simulation."""
     a = _check_obs(c, o_a, a)
     val = expectation(_run(c.n_qubits, [g for g, _ in c.gates], c.supports), o_a, a, c.n_qubits)
-    assert abs(val.imag) < 1e-10 * (1.0 + abs(val.real))
-    return val.real
+    return real_value(val, "circuit cost")
 
 
-def circuit_grad(c: LayeredCircuit, dcv: CircuitDerivative, o_a, a: Sequence[int]) -> float:
-    """Exact dC along v_k; the gate at dcv.layer is replaced by u_minus u_plus."""
-    a = _check_obs(c, o_a, a)
-    if not 0 <= dcv.layer < len(c.gates):
+def _check_split_at(c: LayeredCircuit, layer: int, u_minus, v_k, u_plus):
+    if not 0 <= layer < len(c.gates):
         raise IndexError("derivative layer out of range")
-    um, up = _mat(dcv.u_minus), _mat(dcv.u_plus)
-    if um.shape != (2 ** len(c.gates[dcv.layer][1]),) * 2:
-        raise ValueError("derivative split dim must match its layer")
+    return check_split(u_minus, v_k, u_plus, 2 ** len(c.gates[layer][1]))
+
+
+def circuit_grad(c: LayeredCircuit, layer: int, u_minus, v_k, u_plus, o_a, a: Sequence[int]) -> float:
+    """Exact dC along v_k; the gate at ``layer`` is replaced by u_minus u_plus."""
+    a = _check_obs(c, o_a, a)
+    um, v_k, up = _check_split_at(c, layer, u_minus, v_k, u_plus)
     gates = [g for g, _ in c.gates]
-    psi = _run(c.n_qubits, gates[: dcv.layer] + [um @ up] + gates[dcv.layer + 1 :], c.supports)
-    gates[dcv.layer] = um @ (-1j * _mat(dcv.v_k)) @ up
+    psi = _run(c.n_qubits, gates[:layer] + [um @ up] + gates[layer + 1 :], c.supports)
+    gates[layer] = um @ (-1j * v_k) @ up
     dpsi = _run(c.n_qubits, gates, c.supports)
     return 2.0 * expectation(dpsi, o_a, a, c.n_qubits, phi=psi).real
 
 
-def circuit_grad_fd(c: LayeredCircuit, dcv: CircuitDerivative, o_a, a: Sequence[int],
+def circuit_grad_fd(c: LayeredCircuit, layer: int, u_minus, v_k, u_plus, o_a, a: Sequence[int],
                     h: float = 1e-5) -> float:
-    w, v = np.linalg.eigh(_mat(dcv.v_k))
-    um, up = _mat(dcv.u_minus), _mat(dcv.u_plus)
+    """Central finite difference of circuit_cost over theta in u_minus e^{-i theta v_k} u_plus."""
+    split = _check_split_at(c, layer, u_minus, v_k, u_plus)
 
-    def at(theta: float) -> float:
-        gate = um @ (v * np.exp(-1j * theta * w)) @ v.conj().T @ up
-        return circuit_cost(
-            LayeredCircuit(
-                c.n_qubits,
-                tuple((gate if i == dcv.layer else g, s) for i, (g, s) in enumerate(c.gates)),
-                c.observable_layer,
-            ),
-            o_a,
-            a,
-        )
+    def at(gate: np.ndarray) -> float:
+        gates = tuple((gate if i == layer else g, s) for i, (g, s) in enumerate(c.gates))
+        return circuit_cost(LayeredCircuit(c.n_qubits, gates, c.observable_layer), o_a, a)
 
-    return (at(h) - at(-h)) / (2.0 * h)
+    return rotation_fd(at, *split, h)
 
 
 def circuit_variance_mc(
     c_template: LayeredCircuit,
     layer: int,
-    v_k: HermitianObservable,
+    v_k,
     o_a,
     a: Sequence[int],
     ensemble: str = "haar",
@@ -182,11 +165,10 @@ def circuit_variance_mc(
         raise IndexError("derivative layer out of range")
     supports = c_template.supports
     dim_k = 2 ** len(supports[layer])
-    if _mat(v_k).shape != (dim_k, dim_k):
+    if np.shape(v_k) != (dim_k, dim_k):
         raise ValueError("v_k dim must match the derivative layer")
-    v_obs = v_k if isinstance(v_k, HermitianObservable) else HermitianObservable(v_k)
-    minus_iv = -1j * v_obs.matrix
-    o_a = _mat(o_a)
+    minus_iv = -1j * check_hermitian(v_k)
+    o_a = check_hermitian(o_a)
     # draw order: one gate per support, the derivative layer's u_minus then u_plus
     specs = [EnsembleSpec.haar(2 ** len(s)) for s in supports]
     specs.insert(layer, specs[layer])
@@ -194,9 +176,7 @@ def circuit_variance_mc(
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         drawn = draw_unitaries(specs, rngs)
         um, up = drawn[layer], drawn[layer + 1]
-        gate = um @ up
-        check_unitary(gate)
-        gates = drawn[:layer] + [gate] + drawn[layer + 2 :]
+        gates = drawn[:layer] + [um @ up] + drawn[layer + 2 :]
         psi = _run(c_template.n_qubits, gates, supports, (len(rngs),))
         gates[layer] = um @ minus_iv @ up
         dpsi = _run(c_template.n_qubits, gates, supports, (len(rngs),))

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -46,7 +47,7 @@ from .costs import (
     observable_xent,
     trace_oe_sq_mc,
 )
-from .linalg import HermitianObservable, gue_hermitian, haar_state, pauli_string
+from .linalg import check_hermitian, gue_hermitian, haar_state, pauli_string
 from .mc import EnsembleSpec, grad_variance_mps
 from .twirl import (
     DesignConstants,
@@ -108,7 +109,7 @@ def _parse_generator(spec: str, dim: int) -> np.ndarray:
     if kind == "gue":
         seed = _as_int(arg or "0", "--generator gue seed")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return gue_hermitian(dim, rng).matrix
+        return gue_hermitian(dim, rng)
     if kind == "pauli":
         try:
             m = pauli_string(arg)
@@ -137,10 +138,12 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
             raise ConfigError(f"--O diag entries must be numbers, got {arg!r}") from exc
         if len(vals) != d:
             raise ConfigError(f"--O diag observable needs {d} entries")
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"--O diag entries must be finite, got {arg!r}")
         return np.diag(vals)
     if kind == "gue":
         rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "--O gue seed")))
-        return gue_hermitian(d, rng).matrix
+        return gue_hermitian(d, rng)
     raise ConfigError(f"--O: unknown observable spec {spec!r} (use I, diag:A,B,.., gue:SEED, or Z, p0, X at d = 2)")
 
 
@@ -231,7 +234,7 @@ def _identity_checks(which: str, D: int, d: int, samples: int, seed: int) -> lis
     rows = []
     labels = [(l, r) for l in (PermLabel.S, PermLabel.A) for r in (PermLabel.S, PermLabel.A)]
 
-    o = pauli_string("Z") if d == 2 else gue_hermitian(d, np.random.default_rng(7)).matrix
+    o = pauli_string("Z") if d == 2 else gue_hermitian(d, np.random.default_rng(7))
     for prefix, obs, offset in (("tree", None, 0), ("otree", o, 10)):
         if which not in (prefix, "all"):
             continue
@@ -310,7 +313,7 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
     seed = _as_int(cfg["seed"], "--seed", 0)
     workers = _as_int(cfg["workers"], "--workers", 1)
     delta = None if case.onsite else _as_int(cfg["delta"], "--delta")
-    g = HermitianObservable(_parse_generator(str(cfg["generator"]), D * d))
+    g = check_hermitian(_parse_generator(str(cfg["generator"]), D * d))
     partners = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}
     partner = partners[str(cfg["partner_ensemble"])](D * d)
 
@@ -320,28 +323,28 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
         if case is VarianceCase.OFFSITE_PLUS and delta > n - 2:
             raise ConfigError(f"offsite-plus needs 1 <= delta <= n-2 (n={n})")
     if cost == "fixed":
-        o = HermitianObservable(_parse_observable(str(cfg["o"]), d))
+        o = check_hermitian(_parse_observable(str(cfg["o"]), d))
         # the constants do not depend on n: one estimate serves the sweep
-        cc = c_constants_mc(case, g.matrix, o.matrix, D, d, partner, const_samples, seed, workers)
+        cc = c_constants_mc(case, g, o, D, d, partner, const_samples, seed, workers)
 
     rows, points = [], []
     for n in ns:
         if cost == "fixed":
             vq = VarianceQuery(case, n, D, d, g, o, delta)
             analytic_val = variance_formula(vq, cc)
-            eps_val, eps_prov, eps_se = epsilon(o.matrix, d), "analytic", None
-            o_builder = o.matrix
+            eps_val, eps_prov, eps_se = epsilon(o, d), "analytic", None
+            o_builder = o
         else:
             builder_kind = CostKind(cost)
 
             def o_builder(rng, _n=n, _k=builder_kind):
                 vec = haar_state(2**_n, rng)
                 if _k is CostKind.LINEAR_XEB:
-                    return observable_xeb(vec, _n).matrix.matrix
+                    return observable_xeb(vec, _n)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ClampWarning)
-                    obs = observable_xent(vec, _n)
-                return np.full((2, 2), np.nan) if obs.clamped else obs.matrix.matrix
+                    obs, clamped = observable_xent(vec, _n)
+                return np.full((2, 2), np.nan) if clamped else obs
 
             cc, analytic_val = None, None
             eps_est = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
@@ -433,7 +436,7 @@ def run_haar_epsilon(cfg: dict) -> int:
 
 
 def _load_layout(path: str) -> tuple[int, list[tuple]]:
-    supports, n_qubits = [], None
+    supports, n_qubits = [], None  # supports: (line number, qubits)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, 1):
@@ -441,7 +444,10 @@ def _load_layout(path: str) -> tuple[int, list[tuple]]:
                 if not line:
                     continue
                 if line.startswith("qubits"):
-                    n_qubits = _as_int(line.split("=", 1)[1].strip() if "=" in line else line.split()[1], "qubits")
+                    m = re.fullmatch(r"qubits(?:\s*=\s*|\s+)(\S+)", line)
+                    if not m:
+                        raise ConfigError(f"{path}:{ln}: expected 'qubits N', got {line!r}")
+                    n_qubits = _as_int(m[1], f"{path}:{ln}: qubits", 1)
                     continue
                 try:
                     qs = tuple(int(t) for t in line.replace(",", " ").split())
@@ -449,12 +455,15 @@ def _load_layout(path: str) -> tuple[int, list[tuple]]:
                     raise ConfigError(f"{path}:{ln}: malformed gate support {line!r}") from exc
                 if not qs:
                     raise ConfigError(f"{path}:{ln}: empty gate support")
-                supports.append(qs)
+                supports.append((ln, qs))
     except OSError as exc:
         raise ConfigError(f"cannot read layout file {path}: {exc}") from exc
     if n_qubits is None or not supports:
         raise ConfigError(f"layout file {path} needs a 'qubits N' line and gate lines")
-    return n_qubits, supports
+    for ln, qs in supports:
+        if len(set(qs)) != len(qs) or not all(0 <= q < n_qubits for q in qs):
+            raise ConfigError(f"{path}:{ln}: bad support {qs} on {n_qubits} qubits")
+    return n_qubits, [qs for _, qs in supports]
 
 
 def run_circuit(cfg: dict) -> int:
@@ -474,10 +483,12 @@ def run_circuit(cfg: dict) -> int:
             raise ConfigError("--layout file needs --layout-file PATH")
         n_qubits, supports = _load_layout(str(cfg["layout_file"]))
 
-    obs_layer = _as_int(cfg.get("obs_layer", len(supports) - 1), "obs-layer")
-    deriv_layer = _as_int(cfg["deriv_layer"], "deriv-layer")
-    if not 0 <= obs_layer < len(supports) or not 0 <= deriv_layer < len(supports):
-        raise ConfigError("layer indices out of range")
+    last = len(supports) - 1
+    obs_layer = _as_int(cfg.get("obs_layer", last), "--obs-layer")
+    deriv_layer = _as_int(cfg["deriv_layer"], "--deriv-layer")
+    for flag, layer in (("--obs-layer", obs_layer), ("--deriv-layer", deriv_layer)):
+        if not 0 <= layer <= last:
+            raise ConfigError(f"{flag} {layer} is outside the gate indices 0..{last}")
     a = (
         tuple(_as_int(t, "--obs-qubits") for t in str(cfg["obs_qubits"]).replace(",", " ").split())
         if cfg.get("obs_qubits") is not None
@@ -494,15 +505,15 @@ def run_circuit(cfg: dict) -> int:
             raise ConfigError("observable qubits must sit inside the observable layer")
     except (ValueError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
-    v_k = HermitianObservable(_parse_generator(str(cfg["generator"]), dim_k))
+    v_k = check_hermitian(_parse_generator(str(cfg["generator"]), dim_k))
 
-    obs_rng = np.random.default_rng(np.random.SeedSequence(_as_int(cfg["obs_seed"], "obs-seed")))
+    obs_rng = np.random.default_rng(np.random.SeedSequence(_as_int(cfg["obs_seed"], "--obs-seed")))
     observables = [
         ("Z-string", np.diag([(-1.0) ** bin(x).count("1") for x in range(d_a)])),
         ("projector-0", np.diag([1.0] + [0.0] * (d_a - 1))),
         ("X-string", pauli_string("X" * len(a))),
         ("ramp-diag", np.diag(np.arange(d_a, dtype=float) * 2.0 - 1.0)),
-        ("random-hermitian", gue_hermitian(d_a, obs_rng).matrix),
+        ("random-hermitian", gue_hermitian(d_a, obs_rng)),
     ]
 
     lines = [
@@ -591,6 +602,14 @@ _CHOICES = {
 }
 
 
+_IDENTITIES_RATE = (
+    "Each sampled diagram row must lie within 3 standard errors of its closed form, so correct "
+    "code sometimes exits 1: six rows vary per draw (tree SS and AS are exact), a nominal "
+    "1 - 0.9973^6 = 1.6% per command (2.1% counting all eight). Measured at the defaults over "
+    "seeds 0-999: 1.9% (18 row failures, one twirl max-entry failure; --seed 11 is one)."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="plateau", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"plateau {__version__}")
@@ -602,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", help="Monte-Carlo sample count")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
-    sp = sub.add_parser("identities", help="pairing-value identity checks")
+    sp = sub.add_parser("identities", help="pairing-value identity checks", description=_IDENTITIES_RATE)
     common(sp)
     choices = _CHOICES["identities"]
     sp.add_argument("--which", choices=choices["which"])

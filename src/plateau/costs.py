@@ -16,12 +16,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import HermitianObservable, _mat, haar_state, haar_state_from_gaussian
+from .linalg import haar_state, haar_state_from_gaussian
 from .mc import EstimateResult, estimate, fresh_stream
 
 P_FLOOR = 1e-30
@@ -32,57 +31,40 @@ class ClampWarning(RuntimeWarning):
 
 
 class CostKind(enum.Enum):
-    GENERIC = "generic"
     CROSS_ENTROPY = "xent"
     LINEAR_XEB = "xeb"
 
 
-@dataclass(frozen=True)
-class OutputDistribution:
-    probs: tuple
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.probs)
-        if len(p) != 2 or any(x < -1e-12 or x > 1 + 1e-12 for x in p):
-            raise ValueError("need two probabilities in [0, 1]")
-        if abs(p[0] + p[1] - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "probs", p)
+def _check_probs(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2,) or not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):
+        raise ValueError("need two probabilities in [0, 1]")
+    if abs(p[0] + p[1] - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    return p
 
 
-@dataclass(frozen=True, eq=False)
-class CostObservable:
-    kind: CostKind
-    matrix: HermitianObservable
-    meta: Optional[OutputDistribution] = None
-    clamped: bool = False
+def p_first_qubit(v, n: int) -> np.ndarray:
+    """Marginal (p(0), p(1)) of the first qubit of V|0...0>.
 
-    def __post_init__(self):
-        if self.kind is not CostKind.GENERIC and self.meta is None:
-            raise ValueError("target-derived observables carry their distribution")
-
-
-def _state_of(v, n: int) -> np.ndarray:
-    """Accept a target unitary (column 0 is used) or the state V|0...0> itself."""
+    ``v`` is the target unitary (column 0 is used) or the state V|0...0>
+    itself, unnormalized allowed; it must be finite and nonzero.
+    """
     dim = 2**n
-    arr = _mat(v)
-    vec = arr[:, 0] if arr.ndim == 2 else np.asarray(arr, dtype=complex).ravel()
+    arr = np.asarray(v)
+    vec = arr[:, 0] if arr.ndim == 2 else arr.ravel()
     if vec.shape != (dim,):
         raise ValueError(f"target must act on {dim} dimensions (n = {n} qubits)")
-    return vec
-
-
-def p_first_qubit(v, n: int) -> OutputDistribution:
-    """Marginal of the first qubit of V|0...0>."""
-    amps = np.abs(_state_of(v, n).reshape(2, -1)) ** 2
+    amps = np.abs(vec.reshape(2, -1)) ** 2
     p0 = float(amps[0].sum())
     tot = float(amps.sum())
-    return OutputDistribution((p0 / tot, 1.0 - p0 / tot))
+    if not 0.0 < tot < math.inf:
+        raise ValueError("target state must be finite and nonzero")
+    return np.array([p0 / tot, 1.0 - p0 / tot])
 
 
 def epsilon(o, d: int) -> float:
     """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d."""
-    o = _mat(o)
     if o.shape != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
     t1 = np.trace(o).real
@@ -97,35 +79,40 @@ def _clamp(p: float, context: str) -> tuple[float, bool]:
     return p, False
 
 
-def cross_entropy(q: OutputDistribution, p: OutputDistribution) -> float:
-    """-sum_x q(x) ln p(x), with p clamped away from zero."""
+def cross_entropy(q, p) -> float:
+    """-sum_x q(x) ln p(x) of two (2,) distributions, with p clamped away
+    from zero."""
+    q, p = _check_probs(q), _check_probs(p)
     total = 0.0
     for x in range(2):
-        px, _ = _clamp(p.probs[x], "cross_entropy")
-        total -= q.probs[x] * np.log(px)
+        px, _ = _clamp(p[x], "cross_entropy")
+        total -= q[x] * np.log(px)
     return total
 
 
-def linear_xeb(p: OutputDistribution, q: OutputDistribution) -> float:
-    """2 sum_x p(x) q(x) - 1."""
-    return 2.0 * (p.probs[0] * q.probs[0] + p.probs[1] * q.probs[1]) - 1.0
+def linear_xeb(p, q) -> float:
+    """2 sum_x p(x) q(x) - 1 of two (2,) distributions."""
+    p, q = _check_probs(p), _check_probs(q)
+    return 2.0 * (p[0] * q[0] + p[1] * q[1]) - 1.0
 
 
-def observable_xeb(v, n: int) -> CostObservable:
+def observable_xeb(v, n: int) -> np.ndarray:
+    """O_xeb = diag(2 p(V, x) - 1), 2 x 2."""
     p = p_first_qubit(v, n)
-    mat = np.diag([2.0 * p.probs[0] - 1.0, 2.0 * p.probs[1] - 1.0])
-    return CostObservable(CostKind.LINEAR_XEB, HermitianObservable(mat), p)
+    return np.diag(2.0 * p - 1.0)
 
 
-def observable_xent(v, n: int) -> CostObservable:
+def observable_xent(v, n: int) -> tuple[np.ndarray, bool]:
+    """(O_xent, clamped): O_xent = diag(-ln p(V, x)), 2 x 2, and whether a
+    probability hit the log floor."""
     p = p_first_qubit(v, n)
     clamped = False
     diag = []
     for x in range(2):
-        px, hit = _clamp(p.probs[x], "observable_xent")
+        px, hit = _clamp(p[x], "observable_xent")
         clamped = clamped or hit
         diag.append(-np.log(px))
-    return CostObservable(CostKind.CROSS_ENTROPY, HermitianObservable(np.diag(diag)), p, clamped)
+    return np.diag(diag), clamped
 
 
 def trace_oe_sq(v, n: int) -> float:
@@ -133,7 +120,7 @@ def trace_oe_sq(v, n: int) -> float:
     p = p_first_qubit(v, n)
     total = 0.0
     for x in range(2):
-        px, _ = _clamp(p.probs[x], "trace_oe_sq")
+        px, _ = _clamp(p[x], "trace_oe_sq")
         total += np.log(px) ** 2
     return total
 
@@ -145,18 +132,12 @@ def haar_avg_epsilon_xeb_closed(n: int) -> float:
     return 2.0 / (2**n + 1)
 
 
-def _kind_of(kind) -> CostKind:
-    if isinstance(kind, CostKind):
-        return kind
-    return CostKind(str(kind))
-
-
 def _haar_target_probs(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """First-qubit marginals (B, 2) of one Haar target state per stream.
 
     Each stream makes haar_state(2**n, rng)'s draws; normalization and the
     marginals run stacked, with p_first_qubit's operations, so each row is
-    bitwise p_first_qubit(haar_state(2**n, rng), n).probs.
+    bitwise p_first_qubit(haar_state(2**n, rng), n).
     """
     dim = 2**n
     normals = np.empty((len(rngs), 2, dim))
@@ -167,8 +148,6 @@ def _haar_target_probs(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarra
         states[b] = haar_state(dim, fresh_stream(rngs[b]))
     amps = np.abs(states.reshape(len(rngs), 2, -1)) ** 2
     p0 = amps[:, 0].sum(axis=-1) / amps.reshape(len(rngs), -1).sum(axis=-1)
-    if np.any(p0 < -1e-12) or np.any(p0 > 1 + 1e-12):
-        raise ValueError("need two probabilities in [0, 1]")
     return np.stack([p0, 1.0 - p0], axis=-1)
 
 
@@ -185,9 +164,7 @@ def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1)
     Samples whose distribution hits the log floor are excluded (xent only;
     the exclusion count lands in the result's ``excluded`` field).
     """
-    kind = _kind_of(kind)
-    if kind is CostKind.GENERIC:
-        raise ValueError("only target-derived kinds have a Haar average")
+    kind = CostKind(kind)
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -16,17 +16,17 @@ import numpy as np
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+IMAG_TOL = 1e-10  # relative residue allowed on a value that must be real
 RANK_TOL = 1e-12  # |R_ii| at or below this marks a rank-deficient Ginibre draw
 
 
-def _mat(x) -> np.ndarray:
-    """Return the underlying complex ndarray of ``x`` (array or wrapper)."""
-    return np.asarray(getattr(x, "matrix", x), dtype=complex)
-
-
-def check_unitary(u: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the stack ``u[..., :, :]`` is
-    finite with ``max|U U^dag - I| <= 1e-10``; one test for the whole stack."""
+def check_unitary(u) -> np.ndarray:
+    """Return ``u`` as a complex array; raise ValueError unless every matrix
+    of the stack ``u[..., :, :]`` is square and finite with
+    ``max|U U^dag - I| <= 1e-10``.  One test for the whole stack."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("unitary has non-finite entries")
     if u.size:
@@ -35,46 +35,71 @@ def check_unitary(u: np.ndarray) -> None:
         err = np.max(np.abs(dev))
         if err > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max deviation {err:.3e})")
+    return u
+
+
+def check_hermitian(h) -> np.ndarray:
+    """Return ``h`` as a complex array; raise ValueError unless every matrix
+    of the stack ``h[..., :, :]`` is square and finite with
+    ``max|H - H^dag| <= 1e-10 (1 + max|H|)``, each matrix on its own scale."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"observable must be a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("observable has non-finite entries")
+    if h.size:
+        err = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        scale = 1.0 + np.max(np.abs(h), axis=(-2, -1))
+        if np.any(err > HERMITIAN_TOL * scale):
+            raise ValueError(f"matrix is not Hermitian (max deviation {np.max(err):.3e})")
+    return h
+
+
+def check_split(u_minus, g, u_plus, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the (u_minus, g, u_plus) split of one gate at a derivative
+    point: two dim x dim unitaries around a dim x dim Hermitian generator.
+
+    The gate is u_minus @ u_plus and its derivative along g is
+    u_minus @ (-i g) @ u_plus; u_plus collects the factors applied first.
+    Returns the three as complex arrays.
+    """
+    if {np.shape(x) for x in (u_minus, g, u_plus)} != {(dim, dim)}:
+        raise ValueError(f"u_minus, g, u_plus must all be {dim}x{dim}")
+    return check_unitary(u_minus), check_hermitian(g), check_unitary(u_plus)
+
+
+def rotation_fd(value_at, u_minus, g, u_plus, h: float) -> float:
+    """Central difference at theta = 0 of value_at(u_minus e^{-i theta g} u_plus),
+    with the exponential taken through one eigendecomposition of g."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    w, v = np.linalg.eigh(g)
+
+    def at(theta: float) -> float:
+        return value_at(u_minus @ (v * np.exp(-1j * theta * w)) @ v.conj().T @ u_plus)
+
+    return (at(h) - at(-h)) / (2.0 * h)
+
+
+def real_value(value: complex, what: str) -> float:
+    """Real part of a value that must be real; ArithmeticError if its
+    imaginary residue exceeds 1e-10 (1 + |Re|)."""
+    if abs(value.imag) > IMAG_TOL * (1.0 + abs(value.real)):
+        raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
+    return float(value.real)
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryGate:
-    """A dim x dim unitary matrix.
-
-    Construction fails unless ``max|U U^dag - I| <= 1e-10``, so a
-    ``UnitaryGate`` can be trusted downstream without re-checking.
-    """
+    """A dim x dim unitary matrix, checked by ``check_unitary`` at
+    construction; the stored gate of a fixed ``mc.EnsembleSpec``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = check_unitary(self.matrix)
+        if m.ndim != 2:
             raise ValueError("unitary must be a square matrix")
-        check_unitary(m)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianObservable:
-    """A dim x dim Hermitian matrix, checked at construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("observable must be a square matrix")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("observable has non-finite entries")
-        scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
-        err = np.max(np.abs(m - m.conj().T))
-        if err > HERMITIAN_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (max deviation {err:.3e})")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -84,7 +109,7 @@ class HermitianObservable:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product, with the left factor on the coarse index."""
-    return np.kron(_mat(a), _mat(b))
+    return np.kron(a, b)
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -100,7 +125,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         Indices of the subsystems to retain; their relative order is
         preserved in the output.
     """
-    m = _mat(m)
+    m = np.asarray(m)
     dims = [int(x) for x in dims]
     total = int(np.prod(dims))
     if m.shape != (total, total):
@@ -142,7 +167,7 @@ def haar_from_ginibre(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, bad
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a Haar-distributed random unitary of the given dimension.
 
     ``haar_from_ginibre`` on one Ginibre matrix; a numerically
@@ -154,7 +179,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, bad = haar_from_ginibre(z)
         if not bad:
-            return UnitaryGate(q)
+            return q
 
 
 def haar_state_from_gaussian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +214,7 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
             return state
 
 
-def gue_hermitian(dim: int, rng: np.random.Generator) -> HermitianObservable:
+def gue_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian matrix (M + M^dag)/2, rescaled to unit operator norm."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -197,12 +222,12 @@ def gue_hermitian(dim: int, rng: np.random.Generator) -> HermitianObservable:
     h = (m + m.conj().T) / 2.0
     h = (h + h.conj().T) / 2.0  # exact Hermiticity under floating point
     nrm = np.max(np.abs(np.linalg.eigvalsh(h)))
-    return HermitianObservable(h / nrm)
+    return h / nrm
 
 
 def hs_norm_sq(m) -> float:
     """Squared Hilbert-Schmidt norm Tr(M^dag M)."""
-    m = _mat(m)
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("hs_norm_sq expects a square matrix")
     return float(np.vdot(m, m).real)

@@ -21,14 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (
-    HermitianObservable,
-    UnitaryGate,
-    _mat,
-    check_unitary,
-    haar_from_ginibre,
-    haar_unitary,
-)
+from .linalg import UnitaryGate, check_hermitian, haar_from_ginibre, haar_unitary
 from .ansatz import grad_ring
 
 JACKKNIFE_BLOCKS = 100
@@ -67,8 +60,8 @@ class EnsembleSpec:
         if self.dim < 1:
             raise ValueError("ensemble dim must be >= 1")
         if self.kind == "fixed":
-            if self.gate is None or _mat(self.gate).shape != (self.dim, self.dim):
-                raise ValueError("fixed ensemble needs a gate of matching dim")
+            if not isinstance(self.gate, UnitaryGate) or self.gate.dim != self.dim:
+                raise ValueError("fixed ensemble needs a UnitaryGate of matching dim")
         elif self.gate is not None:
             raise ValueError("only the fixed ensemble carries a gate")
 
@@ -77,8 +70,10 @@ class EnsembleSpec:
         return cls("haar", dim)
 
     @classmethod
-    def fixed(cls, gate: UnitaryGate) -> "EnsembleSpec":
-        return cls("fixed", _mat(gate).shape[0], gate if isinstance(gate, UnitaryGate) else UnitaryGate(gate))
+    def fixed(cls, gate) -> "EnsembleSpec":
+        """Always the given square unitary matrix, checked here."""
+        checked = UnitaryGate(gate)
+        return cls("fixed", checked.dim, checked)
 
     @classmethod
     def pauli_group(cls, dim: int) -> "EnsembleSpec":
@@ -86,9 +81,9 @@ class EnsembleSpec:
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "haar":
-            return haar_unitary(self.dim, rng).matrix
+            return haar_unitary(self.dim, rng)
         if self.kind == "fixed":
-            return _mat(self.gate)
+            return self.gate.matrix
         n = self.dim
         omega = np.exp(2j * np.pi / n)
         a, b, c = (int(x) for x in rng.integers(0, n, size=3))
@@ -222,8 +217,9 @@ def draw_unitaries(
     turn (a Haar spec: its real, then its imaginary Ginibre normals).
     After the loop, one ``haar_from_ginibre`` call per dimension does the
     QRs and phase fixes of every Haar spec of that dimension (faster than
-    one call per spec: about 6% on mps-ring, 15% on brick-circuit), and
-    the non-Haar draws get the same stacked unitarity check.  An index
+    one call per spec: about 6% on mps-ring, 15% on brick-circuit); the
+    non-Haar draws are unitary by construction (a fixed gate is checked
+    when its spec is made).  An index
     with a rank-deficient Haar draw (probability zero) is drawn again from
     the start of its stream through ``spec.draw``, which keeps
     ``haar_unitary``'s redraw semantics.
@@ -246,8 +242,6 @@ def draw_unitaries(
     for j, spec in enumerate(specs):
         if spec.kind == "haar":
             by_dim.setdefault(spec.dim, []).append(j)
-        else:
-            check_unitary(draws[j])
     for js in by_dim.values():
         z = np.stack([draws[j] for j in js], axis=1)
         q, bad = haar_from_ginibre(z[:, :, 0] + 1j * z[:, :, 1])
@@ -270,7 +264,7 @@ def grad_variance_mps(
     d: int,
     delta: Optional[int],
     o_builder,
-    g: HermitianObservable,
+    g,
     ensembles: Optional[Mapping[str, EnsembleSpec]] = None,
     samples: int = 10_000,
     seed: int = 0,
@@ -291,6 +285,8 @@ def grad_variance_mps(
     o_builder is called per index, before that index's gate draws; the
     gradients of a batch are then evaluated together by
     ``ansatz.grad_ring``, bitwise equal to ``grad_site`` per sample.
+    g and a fixed observable are checked Hermitian here, once; a built
+    observable is only checked for its d x d shape.
     """
     case = VarianceCase(case)
     if n < 2:
@@ -304,7 +300,7 @@ def grad_variance_mps(
             raise ValueError("off-site cases need 1 <= delta <= n-1")
         site_m = delta
     dim = D * d
-    if _mat(g).shape != (dim, dim):
+    if np.shape(g) != (dim, dim):
         raise ValueError(f"generator must be {dim}x{dim}")
     ensembles = dict(ensembles or {})
     sites = ensembles.pop("sites", EnsembleSpec.haar(dim))
@@ -314,9 +310,8 @@ def grad_variance_mps(
     for spec in (sites, partner):
         if spec.dim != dim:
             raise ValueError("ensemble dim must equal D*d")
-    g_obs = g if isinstance(g, HermitianObservable) else HermitianObservable(g)
-    minus_ig = -1j * g_obs.matrix
-    fixed_o = None if callable(o_builder) else _observable(o_builder, d)
+    minus_ig = -1j * check_hermitian(g)
+    fixed_o = None if callable(o_builder) else check_hermitian(_observable(o_builder, d))
     haar = EnsembleSpec.haar(dim)
     split = {"minus": (haar, partner), "plus": (partner, haar), "both": (haar, haar)}
     specs = (*split[case.value.rpartition("-")[2]], *(sites,) * (n - 1))
@@ -331,14 +326,12 @@ def grad_variance_mps(
             obs, build = fixed_o, None
         u_minus, u_plus, *others = draw_unitaries(specs, rngs, build)
         gate = u_minus @ u_plus
-        check_unitary(gate)
         return grad_ring((u_minus @ minus_ig) @ u_plus, gate, np.stack(others, axis=1), obs, site_m, D, d)
 
     return estimate(sampler, samples, seed, workers)
 
 
-def _observable(o, d: int) -> np.ndarray:
-    o = _mat(o)
-    if o.shape != (d, d):
+def _observable(o, d: int):
+    if np.shape(o) != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
     return o

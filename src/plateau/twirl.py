@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _mat, haar_from_ginibre, haar_unitary
+from .linalg import haar_from_ginibre, haar_unitary, real_value
 
 
 class PermLabel(enum.Enum):
@@ -93,7 +93,6 @@ def second_moment(x, n_dim: int) -> np.ndarray:
     fixed by Tr[x] and Tr[x SS].  Valid for any n_dim >= 2 (the rank-one
     n_dim = 1 case is excluded since the channel denominator vanishes).
     """
-    x = _mat(x)
     n = int(n_dim)
     if n < 2:
         raise ValueError("second moment channel needs n_dim >= 2")
@@ -117,7 +116,7 @@ def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     q, bad = haar_from_ginibre(g)
     for k in np.nonzero(bad)[0]:
-        q[k] = haar_unitary(n, rng).matrix
+        q[k] = haar_unitary(n, rng)
     return q
 
 
@@ -135,7 +134,6 @@ def mc_twirl(x, n_dim: int, samples: int, seed: int) -> np.ndarray:
     slices of ``_SLICE`` draws, so at most that many two-copy matrices are
     held at once.  Empirical counterpart of ``second_moment``.
     """
-    x = _mat(x)
     n = int(n_dim)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -176,7 +174,6 @@ def o_tree(left: PermLabel, right: PermLabel, o, dc: DesignConstants) -> float:
 
     and O = I_d reduces every entry to the plain ``tree_chain`` value.
     """
-    o = _mat(o)
     if o.shape != (dc.d, dc.d):
         raise ValueError(f"observable must be {dc.d}x{dc.d}")
     t1 = float(np.trace(o).real)
@@ -224,7 +221,7 @@ def _pairing_traces(u: np.ndarray, o, D: int, d: int) -> np.ndarray:
     """
     b = u.shape[0]
     v = u[:, :, ::d].reshape(b, D, d, D)  # U Pi: columns with physical index 0
-    w = _mat(o) @ v  # (I_D (x) O) U Pi
+    w = o @ v  # (I_D (x) O) U Pi
     cv = v.conj()
     tr_m = np.einsum("bask,bask->b", w, cv)
     g = np.einsum("bask,basl->bkl", cv, w)  # Pi U^dag (I_D (x) O) U Pi: Tr(M²) = Tr(G²)
@@ -266,7 +263,7 @@ def _dual_input(label: PermLabel, D: int, d: int) -> np.ndarray:
 
 
 def _pair_readout(label: PermLabel, o, D: int, d: int) -> np.ndarray:
-    block = np.kron(np.eye(D, dtype=complex), _mat(o))
+    block = np.kron(np.eye(D, dtype=complex), o)
     r = np.kron(block, block)
     if label is PermLabel.A:
         # cross the two bond legs, leave both physical legs in place
@@ -283,13 +280,11 @@ def diagram_exact(left: PermLabel, right: PermLabel, dc: DesignConstants, o=None
     Independent of the closed forms: equals tree_chain(left, right, 0)
     when o is None and o_tree(left, right, o) otherwise.
     """
-    o = np.eye(dc.d) if o is None else _mat(o)
+    o = np.eye(dc.d, dtype=complex) if o is None else o
     x = _dual_input(left, dc.D, dc.d)
     y = second_moment(x, dc.D * dc.d)
     r = _pair_readout(right, o, dc.D, dc.d)
-    val = np.trace(y @ r)
-    assert abs(val.imag) < 1e-10
-    return float(val.real)
+    return real_value(np.trace(y @ r), "diagram contraction")
 
 
 def diagram_mc(
@@ -312,7 +307,7 @@ def diagram_mc(
     D, d = dc.D, dc.d
     if D < 2:
         raise ValueError("the two bond pairings are degenerate below D = 2")
-    o = np.eye(d) if o is None else _mat(o)
+    o = np.eye(d, dtype=complex) if o is None else o
     if o.shape != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
     own, other = left.index, 1 - left.index

@@ -19,7 +19,6 @@ from plateau.analytic import (
 )
 from plateau.ansatz import (
     MpsAnsatz,
-    SiteDecomposition,
     cost,
     cost_statevector,
     grad_fd,
@@ -34,7 +33,6 @@ from plateau.costs import (
     observable_xeb,
 )
 from plateau.linalg import (
-    HermitianObservable,
     gue_hermitian,
     haar_state,
     haar_unitary,
@@ -50,9 +48,9 @@ from plateau.twirl import (
     second_moment,
 )
 
-Z = HermitianObservable(pauli_string("Z"))
-P0 = HermitianObservable(np.diag([1.0, 0.0]))
-ZI = HermitianObservable(pauli_string("ZI"))
+Z = pauli_string("Z")
+P0 = np.diag([1.0, 0.0])
+ZI = pauli_string("ZI")
 
 
 def per_index(fn):
@@ -93,7 +91,7 @@ def test_criterion_2_zero_mean_gradient():
     start = time.time()
     r = grad_variance_mps(
         "onsite-both", n=4, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z.matrix, g=ZI, samples=10_000, seed=3,
+        o_builder=lambda rng: Z, g=ZI, samples=10_000, seed=3,
     )
     elapsed = time.time() - start
     assert abs(r.mean) <= 3.0 * r.stderr_mean
@@ -104,7 +102,7 @@ def test_criterion_2_zero_mean_gradient():
 
 def test_criterion_3_variance_matches_closed_form():
     start = time.time()
-    assert c4_closed(ZI.matrix, 2, 2) == pytest.approx(32.0)
+    assert c4_closed(ZI, 2, 2) == pytest.approx(32.0)
     cc = CConstants(c4=ConstantEstimate(32.0, 0.0, 0, "closed_form"))
     worst = 0.0
     for o in (Z, P0):
@@ -113,7 +111,7 @@ def test_criterion_3_variance_matches_closed_form():
             want = variance_formula(vq, cc)
             r = grad_variance_mps(
                 "onsite-both", n=n, D=2, d=2, delta=None,
-                o_builder=lambda rng, m=o.matrix: m, g=ZI,
+                o_builder=lambda rng, m=o: m, g=ZI,
                 samples=10_000, seed=100 + n,
             )
             z = abs(r.variance - want) / r.stderr_variance
@@ -149,7 +147,7 @@ def test_criterion_5_xeb_decay_slope():
             "onsite-both", n=int(n), D=2, d=2, delta=None,
             o_builder=lambda rng, nn=int(n): observable_xeb(
                 haar_state(2**nn, rng), nn
-            ).matrix.matrix,
+            ),
             g=ZI, samples=10_000, seed=5,
         )
         log_vars.append(np.log(r.variance))
@@ -189,7 +187,7 @@ def test_criterion_7_circuit_factorization():
         np.diag([1.0, 0.0]),
         pauli_string("X"),
         np.diag([0.0, 1.0]),
-        gue_hermitian(2, rng_for(9)).matrix,
+        gue_hermitian(2, rng_for(9)),
     )
     ratios, sigmas = [], []
     for o in observables:
@@ -219,7 +217,7 @@ def test_criterion_8_numeric_core_oracles():
         n = int(rng.integers(2, 9 if d == 2 else 8))
         D = int(rng.integers(1, 4))
         m = MpsAnsatz(n, D, d, tuple(haar_unitary(D * d, rng) for _ in range(n)))
-        o = gue_hermitian(d, rng).matrix
+        o = gue_hermitian(d, rng)
         site = int(rng.integers(0, n))
         a = cost(m, o, site)
         b = cost_statevector(m, o, site)
@@ -230,15 +228,11 @@ def test_criterion_8_numeric_core_oracles():
         n = int(rng.integers(2, 7))
         D = int(rng.integers(1, 3))
         m = MpsAnsatz(n, D, 2, tuple(haar_unitary(2 * D, rng) for _ in range(n)))
-        dec = SiteDecomposition(
-            int(rng.integers(0, n)),
-            haar_unitary(2 * D, rng),
-            gue_hermitian(2 * D, rng),
-            haar_unitary(2 * D, rng),
-        )
-        o = gue_hermitian(2, rng).matrix
+        site = int(rng.integers(0, n))
+        split = (haar_unitary(2 * D, rng), gue_hermitian(2 * D, rng), haar_unitary(2 * D, rng))
+        o = gue_hermitian(2, rng)
         site_m = int(rng.integers(0, n))
-        gap = abs(grad_site(m, dec, o, site_m) - grad_fd(m, dec, o, site_m))
+        gap = abs(grad_site(m, site, *split, o, site_m) - grad_fd(m, site, *split, o, site_m))
         worst_grad = max(worst_grad, gap)
     assert worst_grad <= 1e-6
     elapsed = time.time() - start
@@ -261,11 +255,11 @@ def test_criterion_9_reproducibility():
         )
     a = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z.matrix, g=ZI, samples=2000, seed=13, workers=1,
+        o_builder=lambda rng: Z, g=ZI, samples=2000, seed=13, workers=1,
     )
     b = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z.matrix, g=ZI, samples=2000, seed=13, workers=4,
+        o_builder=lambda rng: Z, g=ZI, samples=2000, seed=13, workers=4,
     )
     assert (a.mean, a.variance, a.stderr_mean, a.stderr_variance) == (
         b.mean, b.variance, b.stderr_mean, b.stderr_variance,

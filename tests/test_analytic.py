@@ -21,13 +21,13 @@ from plateau.analytic import (
     variance_large_n,
 )
 from plateau.costs import epsilon
-from plateau.linalg import HermitianObservable, gue_hermitian, pauli_string
+from plateau.linalg import gue_hermitian, pauli_string
 from plateau.mc import EnsembleSpec, grad_variance_mps
 from plateau.twirl import DesignConstants
 
-Z = HermitianObservable(pauli_string("Z"))
-P0 = HermitianObservable(np.diag([1.0, 0.0]))
-ZI = HermitianObservable(pauli_string("ZI"))
+Z = pauli_string("Z")
+P0 = np.diag([1.0, 0.0])
+ZI = pauli_string("ZI")
 
 
 def closed(value):
@@ -38,9 +38,9 @@ def haar_constants(g, o, D, d):
     # exact ensemble averages of the one-sided constants, from the design
     # constants and the closed-form c4
     dc = DesignConstants.from_dims(D, d)
-    c4 = c4_closed(g.matrix, D, d)
-    eps = epsilon(o.matrix, d)
-    t1 = np.trace(o.matrix).real
+    c4 = c4_closed(g, D, d)
+    eps = epsilon(o, d)
+    t1 = np.trace(o).real
     return CConstants(
         c1=closed(dc.eta * c4),
         c2=closed(D * (d - 1) / (d * dc.q) * c4),
@@ -73,9 +73,9 @@ def test_chain_spots():
 
 
 def test_c4_closed_values():
-    assert c4_closed(ZI.matrix, 2, 2) == pytest.approx(32.0)
+    assert c4_closed(ZI, 2, 2) == pytest.approx(32.0)
     assert c4_closed(np.eye(4), 2, 2) == pytest.approx(0.0)
-    h = gue_hermitian(4, np.random.default_rng(0)).matrix
+    h = gue_hermitian(4, np.random.default_rng(0))
     t1, t2 = np.trace(h).real, np.trace(h @ h).real
     assert c4_closed(h, 2, 2) == pytest.approx(2.0 * (-(t1**2) + 4.0 * t2))
 
@@ -141,7 +141,7 @@ def test_constant_estimates_match_exact_ensemble_averages():
 
 
 def test_constant_estimates_other_dims():
-    g6 = HermitianObservable(np.kron(pauli_string("Z"), np.eye(3)))
+    g6 = np.kron(pauli_string("Z"), np.eye(3))
     o = Z
     want = haar_constants(g6, o, 3, 2)
     got = c_constants_mc(VarianceCase.OFFSITE_MINUS, g6, o, 3, 2, samples=20_000, seed=5)
@@ -206,7 +206,7 @@ def test_formulas_are_nonnegative():
 
 
 def test_variance_scales_with_epsilon_for_traceless_observable():
-    o3 = HermitianObservable(3.0 * pauli_string("Z"))
+    o3 = 3.0 * pauli_string("Z")
     cc = haar_constants(ZI, Z, 2, 2)
     for case, delta in (
         (VarianceCase.ONSITE_BOTH, None),
@@ -219,7 +219,7 @@ def test_variance_scales_with_epsilon_for_traceless_observable():
 
 
 def test_bound_dominates_onsite_minus():
-    for g in (ZI, HermitianObservable(gue_hermitian(4, np.random.default_rng(3)).matrix)):
+    for g in (ZI, gue_hermitian(4, np.random.default_rng(3))):
         cc = haar_constants(g, Z, 2, 2)
         for n in (2, 4, 8, 16):
             vq = VarianceQuery(VarianceCase.ONSITE_MINUS, n, 2, 2, g, Z)
@@ -239,6 +239,16 @@ def test_query_validation():
         variance_formula(
             query(VarianceCase.OFFSITE_PLUS, 4, delta=3), haar_constants(ZI, Z, 2, 2)
         )
+    # the generator and the observable are checked Hermitian and finite here
+    with pytest.raises(ValueError, match="not Hermitian"):
+        query(VarianceCase.ONSITE_BOTH, 4, o=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        VarianceQuery(VarianceCase.ONSITE_BOTH, 4, 2, 2, 1j * ZI, Z)
+    with pytest.raises(ValueError, match="non-finite"):
+        query(VarianceCase.ONSITE_BOTH, 4, o=np.diag([np.inf, 1.0]))
+    with pytest.raises(ValueError):
+        VarianceQuery(VarianceCase.ONSITE_BOTH, 4, 2, 2, Z, Z)
+    assert query(VarianceCase.ONSITE_BOTH, 4, o=np.diag([1.0, 0.0])).o.dtype == complex
 
 
 def test_constant_container_validation():
@@ -264,6 +274,6 @@ def test_formula_tracks_monte_carlo_gradient():
     want = variance_formula(vq, cc)
     r = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z.matrix, g=ZI, samples=4000, seed=19,
+        o_builder=lambda rng: Z, g=ZI, samples=4000, seed=19,
     )
     assert abs(r.variance - want) <= 4.0 * r.stderr_variance

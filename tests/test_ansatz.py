@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plateau.ansatz import (
     MpsAnsatz,
-    SiteDecomposition,
     cost,
     cost_statevector,
     grad_fd,
@@ -12,7 +12,7 @@ from plateau.ansatz import (
     statevector,
     transfer,
 )
-from plateau.linalg import HermitianObservable, UnitaryGate, gue_hermitian, haar_unitary
+from plateau.linalg import gue_hermitian, haar_unitary
 
 
 def rng_for(seed):
@@ -26,7 +26,7 @@ def random_ansatz(n, D, d, rng):
 def test_site_tensor_isometry():
     # summing A^s A^s+ over the physical index recovers the bond identity
     for D, d in ((1, 2), (2, 2), (3, 2), (2, 3)):
-        u = haar_unitary(D * d, rng_for(D * 10 + d)).matrix
+        u = haar_unitary(D * d, rng_for(D * 10 + d))
         a = site_tensor(u, D, d)
         assert a.shape == (d, D, D)
         acc = np.einsum("sab,scb->ac", a, a.conj())
@@ -48,12 +48,36 @@ def test_cost_matches_statevector():
         D = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         m = random_ansatz(n, D, d, rng)
-        o = gue_hermitian(d, rng).matrix
+        o = gue_hermitian(d, rng)
         site = int(rng.integers(0, n))
         a = cost(m, o, site)
         b = cost_statevector(m, o, site)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     assert worst < 1e-10
+    # an imaginary residue on the ring trace raises instead of being dropped
+    for fn in (cost, cost_statevector):
+        with pytest.raises(ArithmeticError, match="ring trace"):
+            fn(m, 1j * np.eye(d), site)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    D=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=40)
+def test_cost_matches_statevector_property(n, D, d, seed, data):
+    # plain complex128 Haar gates, no wrapper in between
+    rng = rng_for(seed)
+    gates = tuple(haar_unitary(D * d, rng) for _ in range(n))
+    assert all(type(g) is np.ndarray and g.dtype == complex for g in gates)
+    m = MpsAnsatz(n, D, d, gates)
+    o = gue_hermitian(d, rng)
+    site = data.draw(st.integers(min_value=0, max_value=n - 1))
+    b = cost_statevector(m, o, site)
+    assert abs(cost(m, o, site) - b) <= 1e-10 * max(1.0, abs(b))
 
 
 def test_grad_matches_finite_difference():
@@ -65,26 +89,40 @@ def test_grad_matches_finite_difference():
         d = 2
         m = random_ansatz(n, D, d, rng)
         site = int(rng.integers(0, n))
-        dec = SiteDecomposition(
-            site,
-            haar_unitary(D * d, rng),
-            gue_hermitian(D * d, rng),
-            haar_unitary(D * d, rng),
-        )
-        o = gue_hermitian(d, rng).matrix
+        split = (haar_unitary(D * d, rng), gue_hermitian(D * d, rng), haar_unitary(D * d, rng))
+        o = gue_hermitian(d, rng)
         site_m = int(rng.integers(0, n))
-        worst = max(worst, abs(grad_site(m, dec, o, site_m) - grad_fd(m, dec, o, site_m)))
+        worst = max(worst, abs(grad_site(m, site, *split, o, site_m) - grad_fd(m, site, *split, o, site_m)))
     assert worst < 1e-6
+    for h in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="h must be positive"):
+            grad_fd(m, site, *split, o, site_m, h=h)
 
 
 def test_gate_matrix_and_derivative_composition():
+    # grad_site uses u_minus @ u_plus as the gate and u_minus (-i g) u_plus as
+    # its derivative, so the split (u_minus u_plus, u_plus^dag g u_plus, I)
+    # gives the same gradient, and the ansatz gate at the site is ignored
     rng = rng_for(2)
-    um = haar_unitary(4, rng)
-    up = haar_unitary(4, rng)
-    g = gue_hermitian(4, rng)
-    dec = SiteDecomposition(0, um, g, up)
-    assert np.allclose(dec.gate_matrix, um.matrix @ up.matrix)
-    assert np.allclose(dec.derivative_matrix, um.matrix @ (-1j * g.matrix) @ up.matrix)
+    m = MpsAnsatz(3, 2, 2, tuple(haar_unitary(4, rng) for _ in range(3)))
+    um, g, up = haar_unitary(4, rng), gue_hermitian(4, rng), haar_unitary(4, rng)
+    o = gue_hermitian(2, rng)
+    base = grad_site(m, 1, um, g, up, o, 2)
+    moved = grad_site(m, 1, um @ up, up.conj().T @ g @ up, np.eye(4), o, 2)
+    assert moved == pytest.approx(base, abs=1e-12)
+    other = MpsAnsatz(3, 2, 2, m.gates[:1] + (haar_unitary(4, rng),) + m.gates[2:])
+    assert grad_site(other, 1, um, g, up, o, 2) == base
+    # the split's three factors must share the site dimension
+    with pytest.raises(ValueError, match="4x4"):
+        grad_site(m, 1, um, g[:2, :2], up, o, 2)
+    with pytest.raises(ValueError, match="4x4"):
+        grad_fd(m, 1, um, g, np.eye(2), o, 2)
+    with pytest.raises(ValueError, match="not unitary"):
+        grad_site(m, 1, 2.0 * um, g, up, o, 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        grad_site(m, 1, um, 1j * g, up, o, 2)
+    with pytest.raises(IndexError):
+        grad_site(m, 3, um, g, up, o, 2)
 
 
 def test_transfer_spectral_radius_bounded():
@@ -107,10 +145,10 @@ def test_cost_site_choice_irrelevant_for_identity_observable():
 def test_cost_invariant_under_gate_phase():
     rng = rng_for(5)
     m = random_ansatz(3, 2, 2, rng)
-    o = gue_hermitian(2, rng).matrix
+    o = gue_hermitian(2, rng)
     base = cost(m, o, 1)
     gates = list(m.gates)
-    gates[2] = UnitaryGate(np.exp(0.7j) * gates[2].matrix)
+    gates[2] = np.exp(0.7j) * gates[2]
     m2 = MpsAnsatz(3, 2, 2, tuple(gates))
     assert cost(m2, o, 1) == pytest.approx(base, abs=1e-12)
 
@@ -118,13 +156,8 @@ def test_cost_invariant_under_gate_phase():
 def test_zero_generator_zero_gradient():
     rng = rng_for(6)
     m = random_ansatz(3, 2, 2, rng)
-    dec = SiteDecomposition(
-        0,
-        haar_unitary(4, rng),
-        HermitianObservable(np.zeros((4, 4))),
-        haar_unitary(4, rng),
-    )
-    assert grad_site(m, dec, np.diag([1.0, -1.0]), 0) == 0.0
+    split = (haar_unitary(4, rng), np.zeros((4, 4)), haar_unitary(4, rng))
+    assert grad_site(m, 0, *split, np.diag([1.0, -1.0]), 0) == 0.0
 
 
 def test_statevector_shape_and_cap():
@@ -148,3 +181,9 @@ def test_ansatz_validation():
         MpsAnsatz(3, 2, 2, gates)
     with pytest.raises(ValueError):
         MpsAnsatz(2, 3, 2, gates)
+    with pytest.raises(ValueError, match="not unitary"):
+        MpsAnsatz(2, 2, 2, (np.eye(4), 2.0 * np.eye(4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        MpsAnsatz(2, 2, 2, (np.eye(4), np.full((4, 4), np.nan)))
+    with pytest.raises(ValueError):
+        MpsAnsatz(2, 2, 2, (np.eye(4), np.ones((4, 2))))

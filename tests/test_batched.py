@@ -12,8 +12,8 @@ import pytest
 
 from plateau import analytic, circuit, costs, linalg, mc
 from plateau.analytic import VarianceCase, _integrand, c_constants_mc
-from plateau.ansatz import MpsAnsatz, SiteDecomposition, grad_site
-from plateau.circuit import CircuitDerivative, LayeredCircuit, brick_supports, circuit_grad
+from plateau.ansatz import MpsAnsatz, grad_site
+from plateau.circuit import LayeredCircuit, brick_supports, circuit_grad
 from plateau.costs import (
     P_FLOOR,
     ClampWarning,
@@ -22,14 +22,7 @@ from plateau.costs import (
     observable_xent,
     p_first_qubit,
 )
-from plateau.linalg import (
-    HermitianObservable,
-    UnitaryGate,
-    gue_hermitian,
-    haar_state,
-    haar_unitary,
-    pauli_string,
-)
+from plateau.linalg import gue_hermitian, haar_state, haar_unitary, pauli_string
 from plateau.mc import BATCH, EnsembleSpec, _sample_rng, grad_variance_mps
 
 SAMPLES = 2 * BATCH + 5  # two full batches and a partial one
@@ -71,13 +64,13 @@ def batched_values(monkeypatch):
 
 def xeb_builder(n):
     def build(rng):
-        return observable_xeb(haar_state(2**n, rng), n).matrix.matrix
+        return observable_xeb(haar_state(2**n, rng), n)
 
     return build
 
 
 def gue_builder(d):
-    return lambda rng: gue_hermitian(d, rng).matrix
+    return lambda rng: gue_hermitian(d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +84,15 @@ def mps_oracle(case, n, D, d, delta, o_builder, g, partner, sites, seed, samples
         rng = _sample_rng(seed, k)
         o = o_builder(rng) if callable(o_builder) else o_builder
         if case.endswith("minus"):
-            um, up = haar_unitary(dim, rng).matrix, partner.draw(rng)
+            um, up = haar_unitary(dim, rng), partner.draw(rng)
         elif case.endswith("plus"):
             um = partner.draw(rng)
-            up = haar_unitary(dim, rng).matrix
+            up = haar_unitary(dim, rng)
         else:
-            um, up = haar_unitary(dim, rng).matrix, haar_unitary(dim, rng).matrix
-        gates = [UnitaryGate(um @ up)] + [UnitaryGate(sites.draw(rng)) for _ in range(n - 1)]
+            um, up = haar_unitary(dim, rng), haar_unitary(dim, rng)
+        gates = [um @ up] + [sites.draw(rng) for _ in range(n - 1)]
         m = MpsAnsatz(n, D, d, tuple(gates))
-        dec = SiteDecomposition(0, UnitaryGate(um), HermitianObservable(g), UnitaryGate(up))
-        out.append(grad_site(m, dec, o, 0 if case.startswith("onsite") else delta))
+        out.append(grad_site(m, 0, um, g, up, o, 0 if case.startswith("onsite") else delta))
     return np.array(out)
 
 
@@ -110,8 +102,8 @@ def mps_oracle(case, n, D, d, delta, o_builder, g, partner, sites, seed, samples
 def test_mps_sampler_matches_per_sample(batched_values, case, partner, builder):
     n, D, d, seed = 4, 2, 2, 31
     delta = None if case.startswith("onsite") else 1
-    g = gue_hermitian(D * d, np.random.default_rng(5)).matrix
-    o = xeb_builder(3) if builder == "callable" else gue_hermitian(d, np.random.default_rng(6)).matrix
+    g = gue_hermitian(D * d, np.random.default_rng(5))
+    o = xeb_builder(3) if builder == "callable" else gue_hermitian(d, np.random.default_rng(6))
     spec = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}[partner](D * d)
     (got,) = batched_values(mc, lambda: grad_variance_mps(
         case, n, D, d, delta, o, g, {"partner": spec}, samples=SAMPLES, seed=seed))
@@ -126,7 +118,7 @@ def test_mps_sampler_matches_per_sample(batched_values, case, partner, builder):
 ])
 def test_mps_sampler_matches_per_sample_other_dims(batched_values, case, D, d, n, delta):
     seed = 8
-    g = gue_hermitian(D * d, np.random.default_rng(1)).matrix
+    g = gue_hermitian(D * d, np.random.default_rng(1))
     builder = gue_builder(d)
     sites = EnsembleSpec.pauli_group(D * d) if D == 3 else EnsembleSpec.haar(D * d)
     (got,) = batched_values(mc, lambda: grad_variance_mps(
@@ -143,8 +135,8 @@ def test_mps_sampler_matches_per_sample_other_dims(batched_values, case, D, d, n
 @pytest.mark.parametrize("D,d", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("kind", ["haar", "pauli"])
 def test_constant_integrands_match_per_draw(batched_values, case, D, d, kind):
-    g = gue_hermitian(D * d, np.random.default_rng(2)).matrix
-    o = gue_hermitian(d, np.random.default_rng(3)).matrix
+    g = gue_hermitian(D * d, np.random.default_rng(2))
+    o = gue_hermitian(d, np.random.default_rng(3))
     ens = EnsembleSpec.haar(D * d) if kind == "haar" else EnsembleSpec.pauli_group(D * d)
     seed = 4
     runs = batched_values(analytic, lambda: c_constants_mc(case, g, o, D, d, ens, SAMPLES, seed))
@@ -160,12 +152,12 @@ def epsilon_oracle(kind, n, seed, samples):
     for k in range(samples):
         vec = haar_state(2**n, _sample_rng(seed, k))
         if kind == "xeb":
-            out.append(epsilon(observable_xeb(vec, n).matrix, 2))
+            out.append(epsilon(observable_xeb(vec, n), 2))
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClampWarning)
-            obs = observable_xent(vec, n)
-        out.append(np.nan if obs.clamped else epsilon(obs.matrix, 2))
+            obs, clamped = observable_xent(vec, n)
+        out.append(np.nan if clamped else epsilon(obs, 2))
     return out
 
 
@@ -182,7 +174,7 @@ def test_trace_oe_sq_matches_per_sample(batched_values, n):
     want = []
     for k in range(SAMPLES):
         p = p_first_qubit(haar_state(2**n, _sample_rng(2, k)), n)
-        want.append(np.nan if min(p.probs) < P_FLOOR else np.log(p.probs[0]) ** 2 + np.log(p.probs[1]) ** 2)
+        want.append(np.nan if min(p) < P_FLOOR else np.log(p[0]) ** 2 + np.log(p[1]) ** 2)
     assert_bitwise(got, want)
 
 
@@ -194,11 +186,11 @@ def circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, seed, samples)
         for i, s in enumerate(supports):
             if i == layer:
                 um, up = haar_unitary(2 ** len(s), rng), haar_unitary(2 ** len(s), rng)
-                gates.append((UnitaryGate(um.matrix @ up.matrix), s))
+                gates.append((um @ up, s))
             else:
                 gates.append((haar_unitary(2 ** len(s), rng), s))
         c = LayeredCircuit(n_qubits, tuple(gates), obs_layer)
-        out.append(circuit_grad(c, CircuitDerivative(layer, um, HermitianObservable(v), up), o, a))
+        out.append(circuit_grad(c, layer, um, v, up, o, a))
     return out
 
 
@@ -211,8 +203,8 @@ def circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, seed, samples)
 def test_circuit_sampler_matches_per_sample(batched_values, n_qubits, supports, layer, a):
     obs_layer = len(supports) - 1
     template = LayeredCircuit(n_qubits, tuple((np.eye(2 ** len(s)), s) for s in supports), obs_layer)
-    v = gue_hermitian(2 ** len(supports[layer]), np.random.default_rng(1)).matrix
-    o = gue_hermitian(2 ** len(a), np.random.default_rng(2)).matrix
+    v = gue_hermitian(2 ** len(supports[layer]), np.random.default_rng(1))
+    o = gue_hermitian(2 ** len(a), np.random.default_rng(2))
     (got,) = batched_values(circuit, lambda: circuit.circuit_variance_mc(
         template, layer, v, o, a, samples=SAMPLES, seed=6))
     assert_bitwise(got, circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, 6, SAMPLES))

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import plateau
 from plateau.circuit import (
-    CircuitDerivative,
     LayeredCircuit,
     apply_gate,
     brick_supports,
@@ -12,7 +16,7 @@ from plateau.circuit import (
     circuit_variance_mc,
     expectation,
 )
-from plateau.linalg import HermitianObservable, gue_hermitian, haar_unitary, pauli_string
+from plateau.linalg import gue_hermitian, haar_unitary, pauli_string
 
 
 def rng_for(seed):
@@ -30,7 +34,7 @@ def dense_circuit_matrix(c):
     # oracle: lift every gate to the full register with explicit kron sums
     full = np.eye(2**c.n_qubits, dtype=complex)
     for gate, support in c.gates:
-        g = np.asarray(gate.matrix if hasattr(gate, "matrix") else gate, dtype=complex)
+        g = np.asarray(gate, dtype=complex)
         k = len(support)
         lifted = np.zeros((2**c.n_qubits, 2**c.n_qubits), dtype=complex)
         for row in range(2**c.n_qubits):
@@ -87,7 +91,7 @@ def test_batched_expectation_is_vdot_per_slice():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
     phi = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-    o = gue_hermitian(4, rng).matrix
+    o = gue_hermitian(4, rng)
     got = expectation(psi, o, (2, 0), 3, phi=phi)
     want = [np.vdot(f, apply_gate(p, o, (2, 0), 3)) for f, p in zip(phi, psi)]
     assert got.shape == (5,)
@@ -100,10 +104,21 @@ def test_circuit_cost_matches_dense_oracle():
     for _ in range(10):
         c = random_circuit(3, 2, rng)
         psi = dense_circuit_matrix(c)[:, 0]
-        o = gue_hermitian(2, rng).matrix
+        o = gue_hermitian(2, rng)
         qubit = c.gates[c.observable_layer][1][0]
         want = np.vdot(psi, apply_gate(psi, o, (qubit,), 3)).real
         assert circuit_cost(c, o, (qubit,)) == pytest.approx(want, abs=1e-12)
+    # a value that must be real raises on an imaginary residue, also under -O
+    with pytest.raises(ArithmeticError, match="circuit cost"):
+        circuit_cost(c, 1j * np.eye(2), (qubit,))
+    code = (
+        "import numpy as np; from plateau.circuit import LayeredCircuit, circuit_cost\n"
+        "c = LayeredCircuit(1, ((np.eye(2), (0,)),), 0)\n"
+        "try:\n    circuit_cost(c, 1j * np.eye(2), (0,))\nexcept ArithmeticError:\n    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plateau.__file__)))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.strip() == "raised", r.stderr
 
 
 def test_circuit_grad_matches_finite_difference():
@@ -112,13 +127,24 @@ def test_circuit_grad_matches_finite_difference():
     for _ in range(10):
         c = random_circuit(4, 2, rng)
         layer = int(rng.integers(0, len(c.gates)))
-        dcv = CircuitDerivative(
-            layer, haar_unitary(4, rng), gue_hermitian(4, rng), haar_unitary(4, rng)
-        )
-        o = gue_hermitian(2, rng).matrix
+        split = (haar_unitary(4, rng), gue_hermitian(4, rng), haar_unitary(4, rng))
+        o = gue_hermitian(2, rng)
         a = (c.gates[c.observable_layer][1][0],)
-        worst = max(worst, abs(circuit_grad(c, dcv, o, a) - circuit_grad_fd(c, dcv, o, a)))
+        worst = max(worst, abs(circuit_grad(c, layer, *split, o, a) - circuit_grad_fd(c, layer, *split, o, a)))
     assert worst < 1e-6
+    for h in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="h must be positive"):
+            circuit_grad_fd(c, layer, *split, o, a, h=h)
+    # the split's three factors must share the layer's dimension
+    um, v, up = split
+    with pytest.raises(ValueError, match="4x4"):
+        circuit_grad(c, layer, um, v, np.eye(2), o, a)
+    with pytest.raises(ValueError, match="4x4"):
+        circuit_grad_fd(c, layer, um[:2, :2], v, up, o, a)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        circuit_grad(c, layer, um, 1j * v, up, o, a)
+    with pytest.raises(IndexError):
+        circuit_grad(c, len(c.gates), um, v, up, o, a)
 
 
 def test_observable_support_must_sit_in_observable_layer():
@@ -141,6 +167,10 @@ def test_layered_circuit_validation():
         LayeredCircuit(2, ((np.eye(2), (0, 1)),), 0)
     with pytest.raises(IndexError):
         LayeredCircuit(2, ((np.eye(4), (0, 1)),), 5)
+    with pytest.raises(ValueError, match="not unitary"):
+        LayeredCircuit(2, ((np.eye(4), (0, 1)), (np.ones((2, 2)), (0,))), 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        LayeredCircuit(2, ((np.full((4, 4), np.inf), (0, 1)),), 0)
 
 
 def test_variance_mc_zero_mean_and_determinism():
@@ -156,6 +186,12 @@ def test_variance_mc_zero_mean_and_determinism():
     assert (r.mean, r.variance, r.stderr_mean) == (r2.mean, r2.variance, r2.stderr_mean)
     with pytest.raises(ValueError):
         circuit_variance_mc(c, 0, v_k, Z, a, ensemble="pauli", samples=100, seed=0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        circuit_variance_mc(c, 0, v_k + 1j * np.eye(4), Z, a, samples=100, seed=0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        circuit_variance_mc(c, 0, v_k, X @ Z, a, samples=100, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        circuit_variance_mc(c, 0, v_k, np.diag([1.0, np.nan]), a, samples=100, seed=0)
 
 
 def test_variance_over_epsilon_constant_across_observables():

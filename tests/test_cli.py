@@ -139,10 +139,34 @@ def test_bad_inputs_exit_two(tmp_path):
     r = run_cli("circuit", "--obs-qubits", "x", "--samples", "100")
     assert r.returncode == 2
     assert "--obs-qubits" in r.stderr
-    for flag, spec in (("--O", "gue:x"), ("--O", "bogus:x"), ("--generator", "gue:x"), ("--generator", "pauli:Q")):
+    for flag, spec in (("--O", "gue:x"), ("--O", "bogus:x"), ("--generator", "gue:x"), ("--generator", "pauli:Q"),
+                       ("--O", "diag:1,nan")):
         r = run_cli("variance", flag, spec, "--n", "2", "--samples", "100", "--const-samples", "100")
         assert r.returncode == 2
         assert flag in r.stderr
+    # layout files: each error names path:line
+    for k, (text, line) in enumerate((
+        ("qubits 2\n0 1\nqubits\n", 3),
+        ("qubitsX 3\n0 1\n", 1),
+        ("# ring\nqubits 2\n0 1\n0 5\n", 4),
+        ("qubits 3\n1 1\n", 2),
+    )):
+        layout = tmp_path / f"bad{k}.layout"
+        layout.write_text(text)
+        r = run_cli("circuit", "--layout", "file", "--layout-file", str(layout), "--samples", "100")
+        assert r.returncode == 2
+        assert f"{layout}:{line}:" in r.stderr
+    # layer and seed flags are named with their dashes, with the valid range
+    r = run_cli("circuit", "--obs-layer", "9", "--samples", "100")
+    assert r.returncode == 2
+    assert "--obs-layer 9" in r.stderr and "0..3" in r.stderr
+    r = run_cli("circuit", "--deriv-layer", "-1", "--samples", "100")
+    assert r.returncode == 2
+    assert "--deriv-layer -1" in r.stderr and "0..3" in r.stderr
+    for flag in ("--obs-layer", "--deriv-layer", "--obs-seed"):
+        r = run_cli("circuit", flag, "x", "--samples", "100")
+        assert r.returncode == 2
+        assert f"{flag} must be an integer" in r.stderr
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

@@ -5,7 +5,6 @@ from plateau.ansatz import MpsAnsatz, cost
 from plateau.costs import (
     ClampWarning,
     CostKind,
-    OutputDistribution,
     cross_entropy,
     epsilon,
     haar_avg_epsilon_mc,
@@ -25,25 +24,34 @@ def rng_for(seed):
 
 
 def test_output_distribution_validation():
-    OutputDistribution((0.25, 0.75))
-    with pytest.raises(ValueError):
-        OutputDistribution((0.5, 0.6))
-    with pytest.raises(ValueError):
-        OutputDistribution((-0.1, 1.1))
+    # distributions are (2,) arrays, checked where they enter
+    good = np.array([0.25, 0.75])
+    for bad in ((0.5, 0.6), (-0.1, 1.1), (np.nan, 0.5), (0.2, 0.3, 0.5)):
+        for fn in (cross_entropy, linear_xeb):
+            with pytest.raises(ValueError):
+                fn(good, bad)
+            with pytest.raises(ValueError):
+                fn(bad, good)
+    assert linear_xeb(good, good) == pytest.approx(2 * (0.25**2 + 0.75**2) - 1)
+    # p_first_qubit checks the state the distribution comes from
+    for state in (np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.ones(8)):
+        with pytest.raises(ValueError):
+            p_first_qubit(state, 2)
 
 
 def test_p_first_qubit():
     v = np.zeros(4)
     v[0] = 1.0
-    assert p_first_qubit(v, 2).probs == (1.0, 0.0)
+    assert p_first_qubit(v, 2).tolist() == [1.0, 0.0]
     plus = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-    q = p_first_qubit(plus, 2).probs
+    q = p_first_qubit(plus, 2)
+    assert q.shape == (2,)
     assert q[0] == pytest.approx(0.5)
     # unnormalized input is normalized first
-    q2 = p_first_qubit(10.0 * plus, 2).probs
+    q2 = p_first_qubit(10.0 * plus, 2)
     assert q2[0] == pytest.approx(0.5)
     for seed in range(5):
-        probs = p_first_qubit(haar_state(8, rng_for(seed)), 3).probs
+        probs = p_first_qubit(haar_state(8, rng_for(seed)), 3)
         assert sum(probs) == pytest.approx(1.0)
 
 
@@ -51,14 +59,14 @@ def test_cross_entropy_gibbs():
     rng = rng_for(1)
     for _ in range(20):
         a, b = rng.uniform(0.05, 0.95, size=2)
-        q = OutputDistribution((a, 1.0 - a))
-        p = OutputDistribution((b, 1.0 - b))
+        q = np.array([a, 1.0 - a])
+        p = np.array([b, 1.0 - b])
         assert cross_entropy(q, p) >= cross_entropy(q, q) - 1e-12
 
 
 def test_linear_xeb_values():
-    delta = OutputDistribution((1.0, 0.0))
-    unif = OutputDistribution((0.5, 0.5))
+    delta = np.array([1.0, 0.0])
+    unif = np.array([0.5, 0.5])
     assert linear_xeb(delta, delta) == pytest.approx(1.0)
     assert linear_xeb(unif, unif) == pytest.approx(0.0)
     assert linear_xeb(delta, unif) == pytest.approx(0.0)
@@ -70,29 +78,28 @@ def test_xeb_observable_epsilon_identity():
         n = 2 + seed % 3
         v = haar_state(2**n, rng_for(seed))
         ob = observable_xeb(v, n)
-        assert ob.kind is CostKind.LINEAR_XEB
-        p = ob.meta.probs
-        assert epsilon(ob.matrix.matrix, 2) == pytest.approx(
+        p = p_first_qubit(v, n)
+        assert epsilon(ob, 2) == pytest.approx(
             4.0 * (p[0] ** 2 + p[1] ** 2) - 2.0, abs=1e-12
         )
 
 
 def test_xent_observable_on_uniform_state():
     plus = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-    ob = observable_xent(plus, 2)
-    assert ob.kind is CostKind.CROSS_ENTROPY
-    assert np.allclose(ob.matrix.matrix, np.log(2.0) * np.eye(2))
+    ob, clamped = observable_xent(plus, 2)
+    assert not clamped
+    assert np.allclose(ob, np.log(2.0) * np.eye(2))
     assert trace_oe_sq(plus, 2) == pytest.approx(2.0 * np.log(2.0) ** 2)
-    assert epsilon(ob.matrix.matrix, 2) == pytest.approx(0.0, abs=1e-12)
+    assert epsilon(ob, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xent_clamp_flags_degenerate_distribution():
     v = np.zeros(4)
     v[0] = 1.0
     with pytest.warns(ClampWarning):
-        ob = observable_xent(v, 2)
-    assert ob.clamped
-    assert np.all(np.isfinite(ob.matrix.matrix))
+        ob, clamped = observable_xent(v, 2)
+    assert clamped
+    assert np.all(np.isfinite(ob))
 
 
 def test_epsilon_basics():
@@ -106,10 +113,10 @@ def test_cost_is_linear_in_observable():
     m = MpsAnsatz(3, 2, 2, tuple(haar_unitary(4, rng) for _ in range(3)))
     v = haar_state(4, rng)
     ob = observable_xeb(v, 2)
-    q = ob.meta.probs
+    q = p_first_qubit(v, 2)
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
-    lhs = cost(m, ob.matrix.matrix, 0)
+    lhs = cost(m, ob, 0)
     rhs = 2.0 * (q[0] * cost(m, p0, 0) + q[1] * cost(m, p1, 0)) - cost(m, np.eye(2), 0)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plateau.linalg import (
-    HermitianObservable,
-    UnitaryGate,
+    check_hermitian,
     check_unitary,
     gue_hermitian,
     haar_from_ginibre,
@@ -24,15 +23,15 @@ def rng_for(seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
 def test_haar_unitary_is_unitary(dim):
-    u = haar_unitary(dim, rng_for(0)).matrix
+    u = haar_unitary(dim, rng_for(0))
     assert u.shape == (dim, dim)
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
 
 def test_haar_unitary_deterministic_per_seed():
-    a = haar_unitary(4, rng_for(123)).matrix
-    b = haar_unitary(4, rng_for(123)).matrix
-    c = haar_unitary(4, rng_for(124)).matrix
+    a = haar_unitary(4, rng_for(123))
+    b = haar_unitary(4, rng_for(123))
+    c = haar_unitary(4, rng_for(124))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -50,7 +49,7 @@ def test_haar_kernel_stack_matches_single_draws():
 
 
 def test_check_unitary_on_a_stack():
-    stack = np.stack([haar_unitary(3, rng_for(k)).matrix for k in range(4)])
+    stack = np.stack([haar_unitary(3, rng_for(k)) for k in range(4)])
     check_unitary(stack)
     stack[2, 0, 0] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match="not unitary"):
@@ -67,7 +66,7 @@ def test_haar_unitary_moments_match_twirl():
     rng = rng_for(7)
     u00 = np.empty(samples, dtype=complex)
     for k in range(samples):
-        u00[k] = haar_unitary(4, rng).matrix[0, 0]
+        u00[k] = haar_unitary(4, rng)[0, 0]
     p2 = np.abs(u00) ** 2
     e00 = np.zeros((4, 4))
     e00[0, 0] = 1.0
@@ -89,19 +88,38 @@ def test_haar_state_normalized_and_uniform():
 
 
 def test_gue_hermitian_properties():
-    h = gue_hermitian(6, rng_for(11)).matrix
+    h = gue_hermitian(6, rng_for(11))
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     assert abs(np.max(np.abs(np.linalg.eigvalsh(h))) - 1.0) < 1e-12
-    assert np.array_equal(h, gue_hermitian(6, rng_for(11)).matrix)
+    assert np.array_equal(h, gue_hermitian(6, rng_for(11)))
 
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        UnitaryGate(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        check_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        HermitianObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        UnitaryGate(np.ones((2, 3)))
+        check_unitary(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        check_hermitian(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        check_hermitian(np.diag([1.0, np.inf]))
+    # both return the checked input as a complex array
+    assert check_unitary(np.eye(2)).dtype == complex
+    assert check_hermitian(np.diag([1.0, -1.0])).dtype == complex
+
+
+def test_check_hermitian_on_a_stack():
+    # each matrix is judged on its own scale: a 1e-8 asymmetry passes
+    # beside entries of 1e3 but fails beside entries of order one
+    big = 1e3 * gue_hermitian(3, rng_for(1))
+    big[0, 1] += 1e-8
+    check_hermitian(np.stack([gue_hermitian(3, rng_for(0)), big]))
+    small = gue_hermitian(3, rng_for(2))
+    small[0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(np.stack([big, small]))
 
 
 cdim = st.integers(min_value=1, max_value=4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plateau.linalg import HermitianObservable, UnitaryGate, pauli_string
+from plateau.linalg import pauli_string
 from plateau.mc import EnsembleSpec, EstimateResult, VarianceCase, estimate, grad_variance_mps
 
 
@@ -103,13 +103,20 @@ def test_ensemble_spec_draws():
     haar = EnsembleSpec.haar(4)
     u = haar.draw(np.random.default_rng(0))
     assert np.allclose(u.conj().T @ u, np.eye(4))
-    g = UnitaryGate(np.diag([1.0, 1j]))
+    g = np.diag([1.0, 1j])
     fixed = EnsembleSpec.fixed(g)
-    assert np.array_equal(fixed.draw(np.random.default_rng(1)), g.matrix)
+    assert fixed.dim == 2
+    assert np.array_equal(fixed.draw(np.random.default_rng(1)), g)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="bogus", dim=2)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="fixed", dim=2, gate=None)
+    with pytest.raises(ValueError, match="not unitary"):
+        EnsembleSpec.fixed(np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="square"):
+        EnsembleSpec.fixed(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        EnsembleSpec.fixed(np.diag([1.0, np.nan]))
 
 
 def test_pauli_group_is_exact_one_design():
@@ -130,10 +137,10 @@ def test_pauli_group_is_exact_one_design():
 
 
 def test_grad_variance_zero_mean_onsite():
-    o = HermitianObservable(pauli_string("Z"))
-    g = HermitianObservable(pauli_string("ZI"))
+    o = pauli_string("Z")
+    g = pauli_string("ZI")
     r = grad_variance_mps(
-        "onsite-both", n=3, D=2, d=2, delta=None, o_builder=lambda rng: o.matrix, g=g,
+        "onsite-both", n=3, D=2, d=2, delta=None, o_builder=lambda rng: o, g=g,
         samples=4000, seed=10,
     )
     assert abs(r.mean) <= 3.0 * r.stderr_mean
@@ -141,21 +148,21 @@ def test_grad_variance_zero_mean_onsite():
 
 
 def test_grad_variance_accepts_all_cases():
-    o = HermitianObservable(pauli_string("Z"))
-    g = HermitianObservable(pauli_string("ZI"))
+    o = pauli_string("Z")
+    g = pauli_string("ZI")
     for case in [c.value for c in VarianceCase]:
         delta = 1 if case.startswith("offsite") else None
         r = grad_variance_mps(
-            case, n=3, D=2, d=2, delta=delta, o_builder=lambda rng: o.matrix, g=g,
+            case, n=3, D=2, d=2, delta=delta, o_builder=lambda rng: o, g=g,
             samples=200, seed=0,
         )
         assert np.isfinite(r.variance)
 
 
 def test_grad_variance_worker_determinism():
-    o = HermitianObservable(pauli_string("Z"))
-    g = HermitianObservable(pauli_string("ZI"))
-    kw = dict(n=3, D=2, d=2, delta=None, o_builder=lambda rng: o.matrix, g=g,
+    o = pauli_string("Z")
+    g = pauli_string("ZI")
+    kw = dict(n=3, D=2, d=2, delta=None, o_builder=lambda rng: o, g=g,
               samples=1500, seed=21)
     a = grad_variance_mps("onsite-both", **kw, workers=1)
     b = grad_variance_mps("onsite-both", **kw, workers=4)
@@ -163,14 +170,24 @@ def test_grad_variance_worker_determinism():
 
 
 def test_grad_variance_rejects_unknown_case():
-    o = HermitianObservable(pauli_string("Z"))
-    g = HermitianObservable(pauli_string("ZI"))
+    o = pauli_string("Z")
+    g = pauli_string("ZI")
     with pytest.raises(ValueError):
         grad_variance_mps("sideways", n=3, D=2, d=2, delta=None,
-                          o_builder=lambda rng: o.matrix, g=g, samples=100, seed=0)
+                          o_builder=lambda rng: o, g=g, samples=100, seed=0)
     with pytest.raises(ValueError):
         grad_variance_mps("offsite-both", n=3, D=2, d=2, delta=None,
-                          o_builder=lambda rng: o.matrix, g=g, samples=100, seed=0)
+                          o_builder=lambda rng: o, g=g, samples=100, seed=0)
+    # the generator and a fixed observable are checked before any draw
+    kw = dict(n=3, D=2, d=2, delta=None, samples=100, seed=0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        grad_variance_mps("onsite-both", o_builder=o, g=1j * g, **kw)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        grad_variance_mps("onsite-both", o_builder=o + np.triu(np.ones((2, 2)), 1), g=g, **kw)
+    with pytest.raises(ValueError, match="non-finite"):
+        grad_variance_mps("onsite-both", o_builder=np.diag([np.nan, 1.0]), g=g, **kw)
+    with pytest.raises(ValueError, match="2x2"):
+        grad_variance_mps("onsite-both", o_builder=lambda rng: np.eye(3), g=g, **kw)
 
 
 def test_estimate_result_validation():

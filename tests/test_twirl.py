@@ -202,7 +202,7 @@ def test_o_tree_matches_oracle(dims):
     dc = DesignConstants.from_dims(*dims)
     obs = [
         np.diag(np.arange(dc.d, dtype=float)),
-        gue_hermitian(dc.d, rng_for(31)).matrix,
+        gue_hermitian(dc.d, rng_for(31)),
     ]
     for o in obs:
         for left in PermLabel:
@@ -257,7 +257,7 @@ def test_diagram_mc_matches_two_copy_contraction(dims, monkeypatch):
     monkeypatch.setattr(twirl, "_BATCH", 96)
     dc = DesignConstants.from_dims(*dims)
     samples = 250
-    for o in (None, gue_hermitian(dc.d, rng_for(17)).matrix):
+    for o in (None, gue_hermitian(dc.d, rng_for(17))):
         for i, (left, right) in enumerate((l, r) for l in PermLabel for r in PermLabel):
             vals = two_copy_diagram_values(left, right, dc, samples, 40 + i, o)
             mean, stderr = diagram_mc(left, right, dc, samples, 40 + i, o)
@@ -270,7 +270,7 @@ def test_diagram_mc_matches_two_copy_contraction(dims, monkeypatch):
 def test_pairing_traces_match_two_copy_trace(D, d, seed):
     rng = rng_for(seed)
     u = _haar_batch(D * d, 3, rng)
-    o = gue_hermitian(d, rng).matrix
+    o = gue_hermitian(d, rng)
     got = _pairing_traces(u, o, D, d)
     w = _two_copy_batch(u)
     for left in PermLabel:
