@@ -5,7 +5,6 @@ from .linalg import (
     haar_state,
     haar_unitary,
     hs_norm_sq,
-    kron,
     partial_trace,
     pauli_string,
 )

@@ -6,10 +6,16 @@
     plateau haar-epsilon   Haar averages of epsilon over target unitaries
     plateau circuit        layered-circuit zero-mean and Var/epsilon checks
 
-Flags override an optional key=value config file (--config); the default
-seed can also come from the PLATEAU_SEED environment variable.  CSV output
-is RFC-4180 with 17 significant digits, so identical configs yield byte
-identical files.  Exit codes: 0 ok, 1 check failed, 2 bad configuration.
+Each subcommand declares its flags once, as a table of ``Flag`` entries;
+the parser, the config-file checks and the typed values the subcommand
+runs on all come from that table.  Flags override an optional key=value
+config file (--config); the default seed can also come from the
+PLATEAU_SEED environment variable.  Every value a command is given is
+checked before any compute, even one its other options leave unused.  CSV
+output is RFC-4180 with 17 significant digits, so identical configs yield
+byte identical files.  Exit codes: 0 ok, 1 check failed, 2 bad
+configuration.  Any other exception is an internal error: it is not caught,
+so it prints its traceback and Python exits 1.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import re
 import sys
 import time
 import warnings
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .analytic import (
     c_constants_mc,
     variance_formula,
 )
-from .circuit import LayeredCircuit, brick_supports, circuit_variance_mc
+from .circuit import QUBIT_CAP, LayeredCircuit, brick_supports, circuit_variance_mc
 from .costs import (
     ClampWarning,
     CostKind,
@@ -66,6 +73,37 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Flag:
+    """One flag of a subcommand.  ``kind`` is how its value parses: ``int``,
+    ``range`` (N or LO:HI), ``qubits`` (a list such as 0,1), ``choice``,
+    ``flag`` (on/off; true|false in a config file) or ``text`` (parsed by
+    the subcommand, e.g. an observable spec).  ``lo`` bounds every integer
+    an int, range or qubits value holds.  ``key`` is the config-file key and
+    the key of the parsed value."""
+
+    name: str
+    default: object = None
+    kind: str = "text"
+    lo: Optional[int] = None
+    help: Optional[str] = None
+    choices: tuple = ()
+    key: str = ""
+
+    def __post_init__(self):
+        if not self.key:
+            object.__setattr__(self, "key", self.name[2:].replace("-", "_"))
+
+
+class Report(NamedTuple):
+    """What a subcommand hands back: its CSV or text output, the points of
+    its JSON run record, and whether its checks passed."""
+
+    text: str
+    points: list
+    ok: bool = True
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -82,17 +120,15 @@ def _as_int(x, name: str, lo: Optional[int] = None) -> int:
     return v
 
 
-def _parse_range(x, name: str, lo: int) -> list[int]:
+def _parse_range(x, name: str, lo: int) -> range:
     s = str(x)
     parts = s.split(":")
     out = None
     try:
-        if len(parts) == 1:
-            out = [int(parts[0])]
-        elif len(parts) == 2:
-            first, last = int(parts[0]), int(parts[1])
+        if len(parts) <= 2:
+            first, last = int(parts[0]), int(parts[-1])
             if last >= first:
-                out = list(range(first, last + 1))
+                out = range(first, last + 1)
     except ValueError:
         pass
     if out is None:
@@ -102,12 +138,26 @@ def _parse_range(x, name: str, lo: int) -> list[int]:
     return out
 
 
+def _parse(flag: Flag, raw):
+    """The typed value of one flag from its raw value (None when unset)."""
+    if raw is None or flag.kind in ("text", "choice", "flag"):
+        return raw
+    if flag.kind == "int":
+        return _as_int(raw, flag.name, flag.lo)
+    if flag.kind == "range":
+        return _parse_range(raw, flag.name, flag.lo)
+    qubits = tuple(_as_int(t, flag.name, flag.lo) for t in str(raw).replace(",", " ").split())
+    if not qubits:
+        raise ConfigError(f"{flag.name} needs at least one qubit, got {raw!r}")
+    return qubits
+
+
 def _parse_generator(spec: str, dim: int) -> np.ndarray:
-    kind, _, arg = str(spec).partition(":")
+    kind, _, arg = spec.partition(":")
     if kind == "zero":
         return np.zeros((dim, dim))
     if kind == "gue":
-        seed = _as_int(arg or "0", "--generator gue seed")
+        seed = _as_int(arg or "0", "--generator gue seed", 0)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         return gue_hermitian(dim, rng)
     if kind == "pauli":
@@ -122,15 +172,14 @@ def _parse_generator(spec: str, dim: int) -> np.ndarray:
 
 
 def _parse_observable(spec: str, d: int) -> np.ndarray:
-    s = str(spec)
     named = {"Z": [1.0, -1.0], "p0": [1.0, 0.0], "I": None}
-    if s in ("Z", "p0") and d == 2:
-        return np.diag(named[s])
-    if s == "I":
+    if spec in ("Z", "p0") and d == 2:
+        return np.diag(named[spec])
+    if spec == "I":
         return np.eye(d)
-    if s == "X" and d == 2:
+    if spec == "X" and d == 2:
         return pauli_string("X")
-    kind, _, arg = s.partition(":")
+    kind, _, arg = spec.partition(":")
     if kind == "diag":
         try:
             vals = [float(v) for v in arg.split(",")]
@@ -142,14 +191,15 @@ def _parse_observable(spec: str, d: int) -> np.ndarray:
             raise ConfigError(f"--O diag entries must be finite, got {arg!r}")
         return np.diag(vals)
     if kind == "gue":
-        rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "--O gue seed")))
+        rng = np.random.default_rng(np.random.SeedSequence(_as_int(arg or "0", "--O gue seed", 0)))
         return gue_hermitian(d, rng)
     raise ConfigError(f"--O: unknown observable spec {spec!r} (use I, diag:A,B,.., gue:SEED, or Z, p0, X at d = 2)")
 
 
-def _load_config(path: Optional[str], keys: set, choices: dict) -> dict:
+def _load_config(path: Optional[str], flags: list[Flag]) -> dict:
     if not path:
         return {}
+    known = {f.key: f for f in flags if f.key != "config"}
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,29 +211,24 @@ def _load_config(path: Optional[str], keys: set, choices: dict) -> dict:
                     raise ConfigError(f"{path}:{ln}: expected key=value")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in keys:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
-                val = val.strip()
-                if key in choices and val not in choices[key]:
-                    raise ConfigError(f"{path}:{ln}: {key} must be one of {'|'.join(choices[key])}, got {val!r}")
-                out[key] = val
+                if key not in known:
+                    raise ConfigError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(sorted(known))})")
+                val, flag = val.strip(), known[key]
+                choices = ("true", "false") if flag.kind == "flag" else flag.choices
+                if choices and val not in choices:
+                    raise ConfigError(f"{path}:{ln}: {key} must be one of {'|'.join(choices)}, got {val!r}")
+                out[key] = val == "true" if flag.kind == "flag" else val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[args.command])
-    keys = set(vars(args)) - {"command", "config"}
-    cfg.update(_load_config(getattr(args, "config", None), keys, _CHOICES[args.command]))
-    if isinstance(cfg.get("verify"), str):
-        cfg["verify"] = cfg["verify"] == "true"
-    for key, val in vars(args).items():
-        if key in ("config",) or val is None:
-            continue
-        cfg[key] = val
-    if "seed" not in cfg or cfg["seed"] is None:
-        cfg["seed"] = os.environ.get("PLATEAU_SEED", "0")
+def _resolve(args: argparse.Namespace, flags: list[Flag]) -> dict:
+    """Raw values: table defaults, then the config file, then the flags."""
+    cfg = {f.key: f.default for f in flags if f.default is not None}
+    cfg.update(_load_config(args.config, flags))
+    cfg.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
+    cfg.setdefault("seed", os.environ.get("PLATEAU_SEED", "0"))
     return cfg
 
 
@@ -204,12 +249,12 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _run_record(cfg: dict, points: list, started: float) -> str:
+def _run_record(cfg: dict, seed: int, points: list, started: float) -> str:
     echo = {k: (v if isinstance(v, (int, float, bool)) or v is None else str(v)) for k, v in sorted(cfg.items())}
     record = {
         "config": echo,
         "points": points,
-        "seed": _as_int(cfg["seed"], "seed"),
+        "seed": seed,
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
@@ -267,65 +312,48 @@ def _identity_checks(which: str, D: int, d: int, samples: int, seed: int) -> lis
     return rows
 
 
-def run_identities(cfg: dict) -> int:
-    which = str(cfg["which"])
-    D, d = _as_int(cfg["D"], "--D"), _as_int(cfg["d"], "--d", 1)
-    if D < 2:
-        raise ConfigError("diagram checks need D >= 2")
-    samples = _as_int(cfg["samples"], "--samples", 2)
-    seed = _as_int(cfg["seed"], "--seed", 0)
-    started = time.perf_counter()
-    rows = _identity_checks(which, D, d, samples, seed)
+def run_identities(v: dict) -> Report:
+    D, d, samples = v["D"], v["d"], v["samples"]
+    rows = _identity_checks(v["which"], D, d, samples, v["seed"])
     ok = all(r[4] for r in rows)
-
-    if str(cfg["format"]) == "json":
-        points = [
-            {"check": name, "value": val, "reference": ref, "tolerance": tol, "pass": good}
-            for name, val, ref, tol, good in rows
-        ]
-        text = _run_record(cfg, points, started)
-    else:
-        lines = [f"{'check':28s} {'value':>24s} {'reference':>24s} {'tol':>12s} result"]
-        for name, val, ref, tol, good in rows:
-            lines.append(
-                f"{name:28s} {_fmt(val):>24s} {_fmt(ref):>24s} {tol:>12.2e} "
-                + ("pass" if good else "FAIL")
-            )
-        lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} (D={D}, d={d}, samples={samples})")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.get("out"))
-    return 0 if ok else 1
+    points = [
+        {"check": name, "value": val, "reference": ref, "tolerance": tol, "pass": good}
+        for name, val, ref, tol, good in rows
+    ]
+    lines = [f"{'check':28s} {'value':>24s} {'reference':>24s} {'tol':>12s} result"]
+    for name, val, ref, tol, good in rows:
+        lines.append(
+            f"{name:28s} {_fmt(val):>24s} {_fmt(ref):>24s} {tol:>12.2e} "
+            + ("pass" if good else "FAIL")
+        )
+    lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} (D={D}, d={d}, samples={samples})")
+    return Report("\n".join(lines) + "\n", points, ok)
 
 
 # ---------------------------------------------------------------------------
 # variance
 
 
-def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
-    case = VarianceCase(str(cfg["case"]))
-    cost = str(cfg["cost"])
-    D, d = _as_int(cfg["D"], "--D", 1), _as_int(cfg["d"], "--d", 2)
+def run_variance(v: dict) -> Report:
+    case, cost, D, d = VarianceCase(v["case"]), v["cost"], v["D"], v["d"]
     if cost != "fixed" and d != 2:
-        raise ConfigError("target-derived costs need d = 2")
-    ns = _parse_range(cfg["n"], "--n", 2)
-    samples = _as_int(cfg["samples"], "--samples", 2)
-    const_samples = _as_int(cfg["const_samples"], "--const-samples", 2)
-    seed = _as_int(cfg["seed"], "--seed", 0)
-    workers = _as_int(cfg["workers"], "--workers", 1)
-    delta = None if case.onsite else _as_int(cfg["delta"], "--delta")
-    g = check_hermitian(_parse_generator(str(cfg["generator"]), D * d))
+        raise ConfigError(f"--d must be 2 for --cost {cost}, got {d}")
+    ns, samples, seed, workers = v["n"], v["samples"], v["seed"], v["workers"]
+    delta = None if case.onsite else v["delta"]
+    g = check_hermitian(_parse_generator(v["generator"], D * d))
     partners = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}
-    partner = partners[str(cfg["partner_ensemble"])](D * d)
+    partner = partners[v["partner_ensemble"]](D * d)
 
     for n in ns:
-        if not case.onsite and not 1 <= (delta or 0) <= n - 1:
+        if not case.onsite and not 1 <= delta <= n - 1:
             raise ConfigError(f"off-site case needs 1 <= delta <= n-1 (n={n})")
         if case is VarianceCase.OFFSITE_PLUS and delta > n - 2:
             raise ConfigError(f"offsite-plus needs 1 <= delta <= n-2 (n={n})")
+    # checked for every cost, though only the fixed cost uses it
+    o = check_hermitian(_parse_observable(v["o"], d))
     if cost == "fixed":
-        o = check_hermitian(_parse_observable(str(cfg["o"]), d))
         # the constants do not depend on n: one estimate serves the sweep
-        cc = c_constants_mc(case, g, o, D, d, partner, const_samples, seed, workers)
+        cc = c_constants_mc(case, g, o, D, d, partner, v["const_samples"], seed, workers)
 
     rows, points = [], []
     for n in ns:
@@ -373,42 +401,18 @@ def _variance_rows(cfg: dict) -> tuple[list[list], list[dict]]:
         slope = float(np.polyfit(xs, ys, 1)[0])
         points.append({"slope_ln_var_vs_n": _tagged(slope, "empirical")})
         print(f"# fitted slope of ln(var) vs n: {slope:.6f}", file=sys.stderr)
-    return rows, points
-
-
-def _run_table(cfg: dict, header: list[str], make_rows: Callable[[dict], tuple[list, list]]) -> int:
-    """Rows to CSV, optionally re-run and compared byte for byte, then
-    written as CSV or as the JSON run record of the points."""
-    started = time.perf_counter()
-    rows, points = make_rows(cfg)
-    csv_text = _csv_text(header, rows)
-    if cfg["verify"]:
-        if _csv_text(header, make_rows(cfg)[0]) != csv_text:
-            print("verification failed: re-run differs", file=sys.stderr)
-            return 1
-        print("verification ok: re-run byte-identical", file=sys.stderr)
-    text = _run_record(cfg, points, started) if str(cfg["format"]) == "json" else csv_text
-    _write_output(text, cfg.get("out"))
-    return 0
-
-
-def run_variance(cfg: dict) -> int:
     header = ["n", "var_emp", "stderr", "var_analytic", "epsilon_mean", "samples", "seed"]
-    return _run_table(cfg, header, _variance_rows)
+    return Report(_csv_text(header, rows), points)
 
 
 # ---------------------------------------------------------------------------
 # haar-epsilon
 
 
-def _haar_epsilon_rows(cfg: dict) -> tuple[list[list], list[dict]]:
-    cost = str(cfg["cost"])
-    ns = _parse_range(cfg["n"], "--n", 1)
-    samples = _as_int(cfg["samples"], "--samples", 2)
-    seed = _as_int(cfg["seed"], "--seed", 0)
-    workers = _as_int(cfg["workers"], "--workers", 1)
+def run_haar_epsilon(v: dict) -> Report:
+    cost, samples, seed, workers = v["cost"], v["samples"], v["seed"], v["workers"]
     rows, points = [], []
-    for n in ns:
+    for n in v["n"]:
         r = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
         closed = haar_avg_epsilon_xeb_closed(n) if cost == "xeb" else None
         tr = trace_oe_sq_mc(n, samples, seed, workers) if cost == "xent" else None
@@ -423,12 +427,8 @@ def _haar_epsilon_rows(cfg: dict) -> tuple[list[list], list[dict]]:
         if tr is not None:
             point["trace_oe_sq_mc"] = _tagged(tr.mean, "empirical", tr.stderr_mean, samples)
         points.append(point)
-    return rows, points
-
-
-def run_haar_epsilon(cfg: dict) -> int:
     header = ["n", "epsilon_mc", "stderr", "epsilon_closed", "trace_oe_sq_mc", "clamp_count"]
-    return _run_table(cfg, header, _haar_epsilon_rows)
+    return Report(_csv_text(header, rows), points)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +448,8 @@ def _load_layout(path: str) -> tuple[int, list[tuple]]:
                     if not m:
                         raise ConfigError(f"{path}:{ln}: expected 'qubits N', got {line!r}")
                     n_qubits = _as_int(m[1], f"{path}:{ln}: qubits", 1)
+                    if n_qubits > QUBIT_CAP:
+                        raise ConfigError(f"{path}:{ln}: qubits must be <= {QUBIT_CAP}, got {n_qubits}")
                     continue
                 try:
                     qs = tuple(int(t) for t in line.replace(",", " ").split())
@@ -466,48 +468,40 @@ def _load_layout(path: str) -> tuple[int, list[tuple]]:
     return n_qubits, [qs for _, qs in supports]
 
 
-def run_circuit(cfg: dict) -> int:
+def run_circuit(v: dict) -> Report:
     started = time.perf_counter()
-    layout = str(cfg["layout"])
-    samples = _as_int(cfg["samples"], "--samples", 2)
-    seed = _as_int(cfg["seed"], "--seed", 0)
-    workers = _as_int(cfg["workers"], "--workers", 1)
-    if layout == "brick":
-        n_qubits = _as_int(cfg["qubits"], "--qubits", 2)
-        supports = list(brick_supports(n_qubits, _as_int(cfg["layers"], "--layers", 1)))
-    elif layout == "fullsingle":
-        n_qubits = _as_int(cfg["qubits"], "--qubits", 1)
-        supports = [tuple(range(n_qubits))]
-    else:
-        if not cfg.get("layout_file"):
+    layout, n_qubits, samples, seed = v["layout"], v["qubits"], v["samples"], v["seed"]
+    # a layout file is read even when --layout does not use it
+    loaded = _load_layout(v["layout_file"]) if v["layout_file"] else None
+    if layout == "file":
+        if loaded is None:
             raise ConfigError("--layout file needs --layout-file PATH")
-        n_qubits, supports = _load_layout(str(cfg["layout_file"]))
+        n_qubits, supports = loaded
+    elif n_qubits > QUBIT_CAP:
+        raise ConfigError(f"--qubits must be <= {QUBIT_CAP}, got {n_qubits}")
+    elif layout == "brick":
+        if n_qubits < 2:
+            raise ConfigError(f"--qubits must be >= 2, got {n_qubits}")
+        supports = list(brick_supports(n_qubits, v["layers"]))
+    else:
+        supports = [tuple(range(n_qubits))]
 
     last = len(supports) - 1
-    obs_layer = _as_int(cfg.get("obs_layer", last), "--obs-layer")
-    deriv_layer = _as_int(cfg["deriv_layer"], "--deriv-layer")
+    obs_layer = last if v["obs_layer"] is None else v["obs_layer"]
+    deriv_layer = v["deriv_layer"]
     for flag, layer in (("--obs-layer", obs_layer), ("--deriv-layer", deriv_layer)):
         if not 0 <= layer <= last:
             raise ConfigError(f"{flag} {layer} is outside the gate indices 0..{last}")
-    a = (
-        tuple(_as_int(t, "--obs-qubits") for t in str(cfg["obs_qubits"]).replace(",", " ").split())
-        if cfg.get("obs_qubits") is not None
-        else (supports[obs_layer][0],)
-    )
+    a = v["obs_qubits"] or (supports[obs_layer][0],)
+    if len(set(a)) != len(a):
+        raise ConfigError(f"--obs-qubits {a} repeats a qubit")
+    if not set(a) <= set(supports[obs_layer]):
+        raise ConfigError(f"--obs-qubits {a} must sit inside gate {obs_layer}'s qubits {supports[obs_layer]}")
     d_a = 2 ** len(a)
-    dim_k = 2 ** len(supports[deriv_layer])
-    try:
-        ident_gates = tuple(
-            (np.eye(2 ** len(s), dtype=complex), s) for s in supports
-        )
-        template = LayeredCircuit(n_qubits, ident_gates, obs_layer)
-        if not set(a) <= set(supports[obs_layer]):
-            raise ConfigError("observable qubits must sit inside the observable layer")
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(str(exc)) from exc
-    v_k = check_hermitian(_parse_generator(str(cfg["generator"]), dim_k))
+    template = LayeredCircuit(n_qubits, tuple((np.eye(2 ** len(s), dtype=complex), s) for s in supports), obs_layer)
+    v_k = check_hermitian(_parse_generator(v["generator"], 2 ** len(supports[deriv_layer])))
 
-    obs_rng = np.random.default_rng(np.random.SeedSequence(_as_int(cfg["obs_seed"], "--obs-seed")))
+    obs_rng = np.random.default_rng(np.random.SeedSequence(v["obs_seed"]))
     observables = [
         ("Z-string", np.diag([(-1.0) ** bin(x).count("1") for x in range(d_a)])),
         ("projector-0", np.diag([1.0] + [0.0] * (d_a - 1))),
@@ -523,7 +517,7 @@ def run_circuit(cfg: dict) -> int:
     ]
     ratios, zero_ok = [], True
     for name, o in observables:
-        r = circuit_variance_mc(template, deriv_layer, v_k, o, a, "haar", samples, seed, workers)
+        r = circuit_variance_mc(template, deriv_layer, v_k, o, a, "haar", samples, seed, v["workers"])
         eps_val = epsilon(o, d_a)
         ok = abs(r.mean) <= 3.0 * r.stderr_mean
         zero_ok = zero_ok and ok
@@ -548,58 +542,11 @@ def run_circuit(cfg: dict) -> int:
         ("zero-mean and Var/epsilon constancy checks passed" if ok else "CHECKS FAILED")
         + f" ({samples} samples, seed {seed}, wall {time.perf_counter() - started:.1f}s)"
     )
-    _write_output("\n".join(lines) + "\n", cfg.get("out"))
-    return 0 if ok else 1
+    return Report("\n".join(lines) + "\n", [], ok)
 
 
 # ---------------------------------------------------------------------------
-
-
-_DEFAULTS = {
-    "identities": {"which": "all", "D": "2", "d": "2", "samples": "20000", "format": "text"},
-    "variance": {
-        "case": "onsite-both",
-        "cost": "fixed",
-        "o": "Z",
-        "n": "2:6",
-        "D": "2",
-        "d": "2",
-        "delta": "1",
-        "generator": "gue:0",
-        "partner_ensemble": "haar",
-        "samples": "10000",
-        "const_samples": "10000",
-        "workers": "1",
-        "format": "csv",
-        "verify": False,
-    },
-    "haar-epsilon": {"cost": "xeb", "n": "1:6", "samples": "5000", "workers": "1", "format": "csv", "verify": False},
-    "circuit": {
-        "layout": "brick",
-        "qubits": "4",
-        "layers": "2",
-        "deriv_layer": "0",
-        "generator": "gue:0",
-        "obs_seed": "11",
-        "samples": "10000",
-        "workers": "1",
-    },
-}
-
-# choice-valued keys: the parser's choices for flags, and the check on config
-# values (verify is a plain flag, so only its config value is checked here)
-_CHOICES = {
-    "identities": {"which": ("twirl", "tree", "otree", "all"), "format": ("text", "json")},
-    "variance": {
-        "case": tuple(c.value for c in VarianceCase),
-        "cost": ("fixed", "xeb", "xent"),
-        "partner_ensemble": ("haar", "pauli"),
-        "format": ("csv", "json"),
-        "verify": ("true", "false"),
-    },
-    "haar-epsilon": {"cost": ("xeb", "xent"), "format": ("csv", "json"), "verify": ("true", "false")},
-    "circuit": {"layout": ("brick", "fullsingle", "file")},
-}
+# the flag tables
 
 
 _IDENTITIES_RATE = (
@@ -610,80 +557,106 @@ _IDENTITIES_RATE = (
 )
 
 
+def _common(samples: str) -> list[Flag]:
+    return [
+        Flag("--config", help="key=value config file; flags override it"),
+        Flag("--seed", kind="int", lo=0, help="master seed (default: PLATEAU_SEED or 0)"),
+        Flag("--samples", samples, "int", 2, "Monte-Carlo sample count"),
+        Flag("--out", help="write output to this path instead of stdout"),
+    ]
+
+
+_WORKERS = Flag("--workers", "1", "int", 1, "worker threads")
+_VERIFY = Flag("--verify", False, "flag", help="re-run and require byte-identical numbers")
+_TABLE_FORMAT = Flag("--format", "csv", "choice", choices=("csv", "json"))
+
+
+class _Command(NamedTuple):
+    run: Callable[[dict], Report]
+    help: str
+    flags: list[Flag]
+    description: Optional[str] = None
+
+
+_COMMANDS = {
+    "identities": _Command(run_identities, "pairing-value identity checks", _common("20000") + [
+        Flag("--which", "all", "choice", choices=("twirl", "tree", "otree", "all")),
+        Flag("--D", "2", "int", 2, "bond dimension"),
+        Flag("--d", "2", "int", 1, "physical dimension"),
+        Flag("--format", "text", "choice", choices=("text", "json")),
+    ], description=_IDENTITIES_RATE),
+    "variance": _Command(run_variance, "empirical vs analytic gradient variance", _common("10000") + [
+        Flag("--case", "onsite-both", "choice", choices=tuple(c.value for c in VarianceCase)),
+        Flag("--cost", "fixed", "choice", choices=("fixed", "xeb", "xent")),
+        Flag("--O", "Z", help="observable: Z, p0, X, I, diag:a,b.., gue:SEED", key="o"),
+        Flag("--n", "2:6", "range", 2, "site count N or range LO:HI"),
+        Flag("--D", "2", "int", 1, "bond dimension"),
+        Flag("--d", "2", "int", 2, "physical dimension"),
+        Flag("--delta", "1", "int", help="derivative-to-observable distance (off-site cases)"),
+        Flag("--generator", "gue:0", help="gue:SEED, pauli:XY.., zero"),
+        Flag("--partner-ensemble", "haar", "choice", choices=("haar", "pauli")),
+        Flag("--const-samples", "10000", "int", 2, "samples for constant estimates"),
+        _WORKERS,
+        _TABLE_FORMAT,
+        _VERIFY,
+    ]),
+    "haar-epsilon": _Command(run_haar_epsilon, "Haar-averaged epsilon of target-derived costs", _common("5000") + [
+        Flag("--cost", "xeb", "choice", choices=("xeb", "xent")),
+        Flag("--n", "1:6", "range", 1, "qubit count N or range LO:HI"),
+        _WORKERS,
+        _TABLE_FORMAT,
+        _VERIFY,
+    ]),
+    "circuit": _Command(run_circuit, "layered-circuit gradient checks", _common("10000") + [
+        Flag("--layout", "brick", "choice", choices=("brick", "fullsingle", "file")),
+        Flag("--layout-file"),
+        Flag("--qubits", "4", "int", 1, "qubit count (brick/fullsingle)"),
+        Flag("--layers", "2", "int", 1, "brick layer count"),
+        Flag("--deriv-layer", "0", "int", help="gate index carrying the derivative"),
+        Flag("--obs-layer", kind="int", help="gate index covering the observable"),
+        Flag("--obs-qubits", kind="qubits", lo=0, help="observable qubits, e.g. 0 or 0,1"),
+        Flag("--obs-seed", "11", "int", 0, "seed for the random test observable"),
+        Flag("--generator", "gue:0", help="derivative generator: gue:SEED, pauli:XY.., zero"),
+        _WORKERS,
+    ]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="plateau", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"plateau {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--seed", help="master seed (default: PLATEAU_SEED or 0)")
-        sp.add_argument("--samples", help="Monte-Carlo sample count")
-        sp.add_argument("--out", help="write output to this path instead of stdout")
-
-    sp = sub.add_parser("identities", help="pairing-value identity checks", description=_IDENTITIES_RATE)
-    common(sp)
-    choices = _CHOICES["identities"]
-    sp.add_argument("--which", choices=choices["which"])
-    sp.add_argument("--D", help="bond dimension")
-    sp.add_argument("--d", help="physical dimension")
-    sp.add_argument("--format", choices=choices["format"])
-
-    sp = sub.add_parser("variance", help="empirical vs analytic gradient variance")
-    common(sp)
-    choices = _CHOICES["variance"]
-    sp.add_argument("--case", choices=choices["case"])
-    sp.add_argument("--cost", choices=choices["cost"])
-    sp.add_argument("--O", dest="o", help="observable: Z, p0, X, I, diag:a,b.., gue:SEED")
-    sp.add_argument("--n", help="site count N or range LO:HI")
-    sp.add_argument("--D", help="bond dimension")
-    sp.add_argument("--d", help="physical dimension")
-    sp.add_argument("--delta", help="derivative-to-observable distance (off-site cases)")
-    sp.add_argument("--generator", help="gue:SEED, pauli:XY.., zero")
-    sp.add_argument("--partner-ensemble", dest="partner_ensemble", choices=choices["partner_ensemble"])
-    sp.add_argument("--const-samples", dest="const_samples", help="samples for constant estimates")
-    sp.add_argument("--workers", help="worker threads")
-    sp.add_argument("--format", choices=choices["format"])
-    sp.add_argument("--verify", action="store_true", default=None, help="re-run and require byte-identical numbers")
-
-    sp = sub.add_parser("haar-epsilon", help="Haar-averaged epsilon of target-derived costs")
-    common(sp)
-    choices = _CHOICES["haar-epsilon"]
-    sp.add_argument("--cost", choices=choices["cost"])
-    sp.add_argument("--n", help="qubit count N or range LO:HI")
-    sp.add_argument("--workers", help="worker threads")
-    sp.add_argument("--format", choices=choices["format"])
-    sp.add_argument("--verify", action="store_true", default=None, help="re-run and require byte-identical numbers")
-
-    sp = sub.add_parser("circuit", help="layered-circuit gradient checks")
-    common(sp)
-    sp.add_argument("--layout", choices=_CHOICES["circuit"]["layout"])
-    sp.add_argument("--layout-file", dest="layout_file")
-    sp.add_argument("--qubits", help="qubit count (brick/fullsingle)")
-    sp.add_argument("--layers", help="brick layer count")
-    sp.add_argument("--deriv-layer", dest="deriv_layer", help="gate index carrying the derivative")
-    sp.add_argument("--obs-layer", dest="obs_layer", help="gate index covering the observable")
-    sp.add_argument("--obs-qubits", dest="obs_qubits", help="observable qubits, e.g. 0 or 0,1")
-    sp.add_argument("--obs-seed", dest="obs_seed", help="seed for the random test observable")
-    sp.add_argument("--generator", help="derivative generator: gue:SEED, pauli:XY.., zero")
-    sp.add_argument("--workers", help="worker threads")
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.description)
+        for f in command.flags:
+            if f.kind == "flag":
+                sp.add_argument(f.name, dest=f.key, action="store_true", default=None, help=f.help)
+            else:
+                sp.add_argument(f.name, dest=f.key, choices=f.choices or None, help=f.help)
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers: dict[str, Callable[[dict], int]] = {
-        "identities": run_identities,
-        "variance": run_variance,
-        "haar-epsilon": run_haar_epsilon,
-        "circuit": run_circuit,
-    }
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return handlers[args.command](_resolve(args))
-    except (ConfigError, ValueError, IndexError) as exc:
+        cfg = _resolve(args, command.flags)
+        values = {f.key: _parse(f, cfg.get(f.key)) for f in command.flags}
+        started = time.perf_counter()
+        report = command.run(values)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if values.get("verify"):
+        if command.run(values).text != report.text:
+            print("verification failed: re-run differs", file=sys.stderr)
+            return 1
+        print("verification ok: re-run byte-identical", file=sys.stderr)
+    text = report.text
+    if values.get("format") == "json":
+        text = _run_record(cfg, values["seed"], report.points, started)
+    _write_output(text, values["out"])
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

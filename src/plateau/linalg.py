@@ -107,11 +107,6 @@ class UnitaryGate:
         return self.matrix.shape[0]
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, with the left factor on the coarse index."""
-    return np.kron(a, b)
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out every subsystem of ``m`` not listed in ``keep``.
 

@@ -164,14 +164,18 @@ def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> Est
         raise ValueError("fewer than two retained samples")
 
     # shift by the first retained value so the exact block sums stay small
-    pivot = float(values[keep][0])
+    kept = values[keep]
+    pivot = float(kept[0])
+    dev = kept - pivot
+    devs, squares = dev.tolist(), (dev * dev).tolist()
+    # each jackknife block is a run of indices; its retained samples end at stops[k]
     blocks = np.array_split(np.arange(samples), min(JACKKNIFE_BLOCKS, samples))
+    stops = np.cumsum(keep)[[idx[-1] for idx in blocks]].tolist()
     counts, sums, sqsums = [], [], []
-    for idx in blocks:
-        kept = [float(values[k]) - pivot for k in idx if keep[k]]
-        counts.append(len(kept))
-        sums.append(math.fsum(kept))
-        sqsums.append(math.fsum(v * v for v in kept))
+    for start, stop in zip([0] + stops[:-1], stops):
+        counts.append(stop - start)
+        sums.append(math.fsum(devs[start:stop]))
+        sqsums.append(math.fsum(squares[start:stop]))
     total = math.fsum(sums)
     sqtotal = math.fsum(sqsums)
 

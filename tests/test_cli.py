@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plateau import cli
 
@@ -167,6 +168,12 @@ def test_bad_inputs_exit_two(tmp_path):
         r = run_cli("circuit", flag, "x", "--samples", "100")
         assert r.returncode == 2
         assert f"{flag} must be an integer" in r.stderr
+    # negative seeds inside specs are caught before numpy sees them
+    for command, flag, spec in (("variance", "--O", "gue:-1"), ("variance", "--generator", "gue:-1"),
+                                ("circuit", "--obs-seed", "-1")):
+        r = run_cli(command, flag, spec, "--samples", "100")
+        assert r.returncode == 2
+        assert flag in r.stderr and "must be >= 0, got -1" in r.stderr
 
 
 def test_unknown_config_key_is_rejected(tmp_path):
@@ -206,3 +213,74 @@ def test_config_verify_is_honoured(tmp_path):
         r = run_cli("variance", "--config", str(cfg))
         assert r.returncode == 0, r.stderr
         assert ("verification ok" in r.stderr) is said
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["identities", "--D", "1"], "--D must be >= 2, got 1"),
+    (["circuit", "--qubits", "13"], "--qubits must be <= 12, got 13"),
+    (["circuit", "--obs-qubits", "0,0"], "--obs-qubits (0, 0) repeats a qubit"),
+    (["circuit", "--obs-qubits", ""], "--obs-qubits needs at least one qubit"),
+    (["circuit", "--layout", "fullsingle", "--qubits", "3", "--obs-qubits", "5"],
+     "--obs-qubits (5,) must sit inside gate 0's qubits (0, 1, 2)"),
+    (["variance", "--cost", "xeb", "--d", "3"], "--d must be 2 for --cost xeb, got 3"),
+    # malformed values that the other options leave unused are still rejected
+    (["variance", "--case", "onsite-both", "--delta", "x"], "--delta must be an integer, got 'x'"),
+    (["circuit", "--layout", "fullsingle", "--layers", "x"], "--layers must be an integer, got 'x'"),
+    (["variance", "--cost", "xeb", "--O", "x"], "--O: unknown observable spec 'x'"),
+])
+def test_bad_input_is_named(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_layout_file_errors_name_the_line(tmp_path, capsys):
+    big = tmp_path / "big.layout"
+    big.write_text("# too wide\nqubits 13\n0 1\n")
+    assert cli.main(["circuit", "--layout", "file", "--layout-file", str(big)]) == 2
+    assert f"{big}:2: qubits must be <= 12, got 13" in capsys.readouterr().err
+    # a layout file is read even when --layout does not use it
+    bad = tmp_path / "bad.layout"
+    bad.write_text("qubits 4\n0 1\nnot a gate\n")
+    assert cli.main(["circuit", "--layout", "brick", "--layout-file", str(bad)]) == 2
+    assert f"{bad}:3: malformed gate support" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_config_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "diagram_mc", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["identities", "--samples", "200"])
+
+
+_NUMERIC_FLAGS = [
+    (name, flag) for name, command in cli._COMMANDS.items() for flag in command.flags
+    if flag.kind in ("int", "range", "qubits")
+]
+
+
+@pytest.mark.parametrize("command,flag", _NUMERIC_FLAGS, ids=[f"{c} {f.name}" for c, f in _NUMERIC_FLAGS])
+@given(raw=st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.from_regex(r"\s*[+-]?\d{1,4}\s*(:\s*[+-]?\d{1,12}\s*)?", fullmatch=True),
+    st.from_regex(r"[+-]?\d{1,3}([, ]+[+-]?\d{1,3}){0,4},?", fullmatch=True),
+))
+@settings(max_examples=150, deadline=None)
+def test_numeric_flags_parse_within_bounds_or_name_the_flag(command, flag, raw):
+    try:
+        value = cli._parse(flag, raw)
+    except cli.ConfigError as exc:
+        assert flag.name in str(exc)
+        return
+    if flag.kind == "int":
+        assert isinstance(value, int)
+        low = value
+    elif flag.kind == "range":
+        assert len(value) >= 1 and value.step == 1
+        low = value[0]
+    else:
+        assert len(value) >= 1 and all(isinstance(q, int) for q in value)
+        low = min(value)
+    assert flag.lo is None or low >= flag.lo

@@ -10,7 +10,6 @@ from plateau.linalg import (
     haar_state,
     haar_unitary,
     hs_norm_sq,
-    kron,
     partial_trace,
     pauli_string,
 )
@@ -131,12 +130,6 @@ def complex_matrix(draw, side):
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = rng_for(seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-@given(complex_matrix(cdim), complex_matrix(cdim))
-@settings(deadline=None)
-def test_kron_matches_numpy(a, b):
-    assert np.allclose(kron(a, b), np.kron(a, b))
 
 
 @given(complex_matrix(cdim), complex_matrix(cdim))

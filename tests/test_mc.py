@@ -1,5 +1,7 @@
 """Estimator harness: determinism, exclusion, and the gradient sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,39 @@ def test_nan_samples_are_excluded():
     assert r.excluded == 10
     assert r.mean == pytest.approx(np.mean(kept))
     assert r.variance == pytest.approx(np.var(kept, ddof=1))
+
+
+def _reference_estimate(values):
+    """estimate's reduction with per-sample Python block sums: the oracle for its array slices."""
+    keep = ~np.isnan(values)
+    n = int(keep.sum())
+    pivot = float(values[keep][0])
+    counts, sums, sqsums = [], [], []
+    for idx in np.array_split(np.arange(len(values)), min(100, len(values))):
+        kept = [float(values[k]) - pivot for k in idx if keep[k]]
+        counts.append(len(kept))
+        sums.append(math.fsum(kept))
+        sqsums.append(math.fsum(v * v for v in kept))
+    total, sqtotal = math.fsum(sums), math.fsum(sqsums)
+    variance = max((sqtotal - total * total / n) / (n - 1), 0.0)
+    thetas = []
+    for c, s, q in zip(counts, sums, sqsums):
+        m, s, q = n - c, total - s, sqtotal - q
+        thetas.append(max((q - s * s / m) / (m - 1), 0.0))
+    tbar = math.fsum(thetas) / len(thetas)
+    spread = math.fsum((t - tbar) ** 2 for t in thetas)
+    return (pivot + total / n, variance, math.sqrt(variance / n),
+            math.sqrt((len(thetas) - 1) / len(thetas) * spread), len(values) - n)
+
+
+@pytest.mark.parametrize("samples,excluded_frac", [(37, 0.0), (150, 0.05), (1500, 0.3), (4096, 0.9)])
+def test_block_sums_match_per_sample_reference(samples, excluded_frac):
+    rng = np.random.default_rng(samples)
+    values = rng.standard_normal(samples) * rng.exponential(size=samples) * 1e3
+    values[1:][rng.random(samples - 1) < excluded_frac] = np.nan
+    r = estimate(lambda indices, rngs: values[indices], samples=samples, seed=0)
+    got = (r.mean, r.variance, r.stderr_mean, r.stderr_variance, r.excluded)
+    assert np.array(got).tobytes() == np.array(_reference_estimate(values)).tobytes()
 
 
 def test_sample_index_stream_is_stable():
