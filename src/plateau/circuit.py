@@ -146,7 +146,6 @@ def circuit_variance_mc(
     v_k,
     o_a,
     a: Sequence[int],
-    ensemble: str = "haar",
     samples: int = 10_000,
     seed: int = 0,
     workers: int = 1,
@@ -154,12 +153,10 @@ def circuit_variance_mc(
     """Gradient statistics with every layer redrawn per sample.
 
     The template fixes the layout (supports and observable layer) only;
-    each sample draws fresh unitaries on every support.  The derivative
+    each sample draws fresh Haar unitaries on every support.  The derivative
     layer's gate is the product of two independent draws, between which
     -i v_k is inserted.
     """
-    if ensemble != "haar":
-        raise ValueError("layer gates are 2-designs; only haar is supported")
     a = _check_obs(c_template, o_a, a)
     if not 0 <= layer < len(c_template.gates):
         raise IndexError("derivative layer out of range")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -29,7 +30,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -45,16 +45,13 @@ from .analytic import (
 )
 from .circuit import QUBIT_CAP, LayeredCircuit, brick_supports, circuit_variance_mc
 from .costs import (
-    ClampWarning,
-    CostKind,
     epsilon,
     haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
-    observable_xeb,
-    observable_xent,
+    target_observables,
     trace_oe_sq_mc,
 )
-from .linalg import check_hermitian, gue_hermitian, haar_state, pauli_string
+from .linalg import check_hermitian, gue_hermitian, pauli_string
 from .mc import EnsembleSpec, grad_variance_mps
 from .twirl import (
     DesignConstants,
@@ -241,6 +238,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Fail before any compute if --out cannot be written; touches no file."""
+    if not out:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {out}: no such directory {folder}")
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        raise ConfigError(f"--out {out}: not a writable file")
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -345,10 +353,9 @@ def run_variance(v: dict) -> Report:
     partner = partners[v["partner_ensemble"]](D * d)
 
     for n in ns:
-        if not case.onsite and not 1 <= delta <= n - 1:
-            raise ConfigError(f"off-site case needs 1 <= delta <= n-1 (n={n})")
-        if case is VarianceCase.OFFSITE_PLUS and delta > n - 2:
-            raise ConfigError(f"offsite-plus needs 1 <= delta <= n-2 (n={n})")
+        hi = n - 2 if case is VarianceCase.OFFSITE_PLUS else n - 1
+        if not case.onsite and not 1 <= delta <= hi:
+            raise ConfigError(f"--delta must satisfy 1 <= delta <= {hi} for --case {case.value} at n={n}, got {delta}")
     # checked for every cost, though only the fixed cost uses it
     o = check_hermitian(_parse_observable(v["o"], d))
     if cost == "fixed":
@@ -363,17 +370,7 @@ def run_variance(v: dict) -> Report:
             eps_val, eps_prov, eps_se = epsilon(o, d), "analytic", None
             o_builder = o
         else:
-            builder_kind = CostKind(cost)
-
-            def o_builder(rng, _n=n, _k=builder_kind):
-                vec = haar_state(2**_n, rng)
-                if _k is CostKind.LINEAR_XEB:
-                    return observable_xeb(vec, _n)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ClampWarning)
-                    obs, clamped = observable_xent(vec, _n)
-                return np.full((2, 2), np.nan) if clamped else obs
-
+            o_builder = functools.partial(target_observables, cost, n)
             cc, analytic_val = None, None
             eps_est = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
             eps_val, eps_prov, eps_se = eps_est.mean, "empirical", eps_est.stderr_mean
@@ -517,7 +514,7 @@ def run_circuit(v: dict) -> Report:
     ]
     ratios, zero_ok = [], True
     for name, o in observables:
-        r = circuit_variance_mc(template, deriv_layer, v_k, o, a, "haar", samples, seed, v["workers"])
+        r = circuit_variance_mc(template, deriv_layer, v_k, o, a, samples, seed, v["workers"])
         eps_val = epsilon(o, d_a)
         ok = abs(r.mean) <= 3.0 * r.stderr_mean
         zero_ok = zero_ok and ok
@@ -642,6 +639,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _resolve(args, command.flags)
         values = {f.key: _parse(f, cfg.get(f.key)) for f in command.flags}
+        _check_out(values["out"])
         started = time.perf_counter()
         report = command.run(values)
     except ConfigError as exc:

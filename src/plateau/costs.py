@@ -9,6 +9,11 @@ values of the diagonal observables
 
 on the first site.  epsilon(O) = Tr(O^2) - Tr(O)^2 / d is the scale that
 controls every gradient variance downstream.
+
+Over Haar targets they come from one place, ``target_observables``: a
+(B, 2, 2) stack, one target per stream, with a NaN diagonal where an xent
+target hits the log floor.  The gradient sampler and both epsilon averages
+read it; ``observable_xeb`` and ``observable_xent`` are its references.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import haar_state, haar_state_from_gaussian
-from .mc import EstimateResult, estimate, fresh_stream
+from .mc import EstimateResult, estimate
 
 P_FLOOR = 1e-30
 
@@ -132,49 +137,54 @@ def haar_avg_epsilon_xeb_closed(n: int) -> float:
     return 2.0 / (2**n + 1)
 
 
-def _haar_target_probs(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """First-qubit marginals (B, 2) of one Haar target state per stream.
+def target_observables(kind, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """O_kind of one Haar target state on n qubits per stream, a (B, 2, 2) stack.
 
-    Each stream makes haar_state(2**n, rng)'s draws; normalization and the
-    marginals run stacked, with p_first_qubit's operations, so each row is
-    bitwise p_first_qubit(haar_state(2**n, rng), n).
+    Each stream makes haar_state(2**n, rng)'s draws, a probability-zero
+    redraw included, and nothing else.  Normalization and the first-qubit
+    marginals run stacked, with p_first_qubit's operations, so row b is
+    bitwise observable_xeb / observable_xent of that state.  An xent target
+    whose distribution hits the log floor gets a NaN diagonal instead, so
+    every value computed from it is excluded downstream.
     """
+    kind = CostKind(kind)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     dim = 2**n
     normals = np.empty((len(rngs), 2, dim))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=normals[b])
     states, bad = haar_state_from_gaussian(normals[:, 0] + 1j * normals[:, 1])
     for b in np.flatnonzero(bad):
-        states[b] = haar_state(dim, fresh_stream(rngs[b]))
+        states[b] = haar_state(dim, rngs[b])
     amps = np.abs(states.reshape(len(rngs), 2, -1)) ** 2
     p0 = amps[:, 0].sum(axis=-1) / amps.reshape(len(rngs), -1).sum(axis=-1)
-    return np.stack([p0, 1.0 - p0], axis=-1)
-
-
-def _diag_epsilon(v: np.ndarray) -> np.ndarray:
-    # epsilon of the diagonal observables diag(v[b]), one per row of (B, 2)
-    t1 = v[:, 0] + v[:, 1]
-    return np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)
+    p = np.stack([p0, 1.0 - p0], axis=-1)
+    if kind is CostKind.LINEAR_XEB:
+        diag = 2.0 * p - 1.0
+    else:
+        clamped = np.any(p < P_FLOOR, axis=-1, keepdims=True)
+        diag = np.where(clamped, np.nan, -np.log(np.maximum(p, P_FLOOR)))
+    obs = np.zeros((len(rngs), 2, 2))
+    obs[:, [0, 1], [0, 1]] = diag
+    return obs
 
 
 def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1) -> EstimateResult:
     """Sample mean of epsilon(O_kind(V)) over Haar targets.
 
-    Only the state V|0...0> enters, so targets are drawn as Haar states.
-    Samples whose distribution hits the log floor are excluded (xent only;
-    the exclusion count lands in the result's ``excluded`` field).
+    Only the state V|0...0> enters, so targets are drawn as Haar states,
+    through ``target_observables``.  A clamped xent target is excluded
+    (its count lands in the result's ``excluded`` field).
     """
     kind = CostKind(kind)
     if n < 1:
         raise ValueError("n must be >= 1")
 
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        p = _haar_target_probs(n, rngs)
-        if kind is CostKind.LINEAR_XEB:
-            return _diag_epsilon(2.0 * p - 1.0)
-        clamped = np.any(p < P_FLOOR, axis=-1)
-        eps = _diag_epsilon(-np.log(np.maximum(p, P_FLOOR)))
-        return np.where(clamped, np.nan, eps)
+        v = np.diagonal(target_observables(kind, n, rngs), axis1=1, axis2=2)
+        t1 = v[:, 0] + v[:, 1]
+        return np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)
 
     return estimate(sampler, samples, seed, workers)
 
@@ -189,11 +199,10 @@ def trace_oe_sq_mc(n: int, samples: int, seed: int, workers: int = 1) -> Estimat
         raise ValueError("n must be >= 1")
 
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        p = _haar_target_probs(n, rngs)
-        logs = np.log(np.maximum(p, P_FLOOR))
+        v = np.diagonal(target_observables(CostKind.CROSS_ENTROPY, n, rngs), axis1=1, axis2=2)
         # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
         # round differently in the last place on some inputs
-        sq = np.array([math.pow(x, 2) for x in logs.ravel().tolist()]).reshape(logs.shape)
-        return np.where(np.any(p < P_FLOOR, axis=-1), np.nan, sq[:, 0] + sq[:, 1])
+        sq = np.array([math.pow(x, 2) for x in v.ravel().tolist()]).reshape(v.shape)
+        return sq[:, 0] + sq[:, 1]
 
     return estimate(sampler, samples, seed, workers)

@@ -162,19 +162,24 @@ def haar_from_ginibre(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, bad
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-distributed random unitary of the given dimension.
-
-    ``haar_from_ginibre`` on one Ginibre matrix; a numerically
-    rank-deficient draw (probability zero) is redrawn from the same stream.
-    """
+def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, dim, dim) stack of Haar unitaries from one stream: all the
+    real, then all the imaginary Ginibre normals, one ``haar_from_ginibre``
+    call, then each rank-deficient draw (probability zero) redrawn in index
+    order from the same stream."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    while True:
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, bad = haar_from_ginibre(z)
-        if not bad:
-            return q
+    shape = (count, dim, dim)
+    q, bad = haar_from_ginibre(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for k in np.flatnonzero(bad):
+        q[k] = haar_unitary(dim, rng)
+    return q
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a Haar-distributed random unitary: ``haar_unitaries``' one-draw
+    case, redrawn from the same stream until it is not rank-deficient."""
+    return haar_unitaries(dim, 1, rng)[0]
 
 
 def haar_state_from_gaussian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -212,28 +212,27 @@ def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> Est
 def draw_unitaries(
     specs: Sequence[EnsembleSpec],
     rngs: Sequence[np.random.Generator],
-    before: Optional[Callable[[int, np.random.Generator], None]] = None,
+    prefix: Optional[Callable[[Sequence[np.random.Generator]], object]] = None,
 ) -> list[np.ndarray]:
     """One (len(rngs), dim, dim) stack of unitaries per spec.
 
-    Per-index draw loop: index b calls ``before(b, rngs[b])`` if given,
-    then makes exactly the draws ``spec.draw`` would make for each spec in
-    turn (a Haar spec: its real, then its imaginary Ginibre normals).
-    After the loop, one ``haar_from_ginibre`` call per dimension does the
-    QRs and phase fixes of every Haar spec of that dimension (faster than
-    one call per spec: about 6% on mps-ring, 15% on brick-circuit); the
-    non-Haar draws are unitary by construction (a fixed gate is checked
-    when its spec is made).  An index
-    with a rank-deficient Haar draw (probability zero) is drawn again from
-    the start of its stream through ``spec.draw``, which keeps
-    ``haar_unitary``'s redraw semantics.
+    Per-index draw loop: index b makes exactly the draws ``spec.draw``
+    would make for each spec in turn (a Haar spec: its real, then its
+    imaginary Ginibre normals).  After the loop, one ``haar_from_ginibre``
+    call per dimension does the QRs and phase fixes of every Haar spec of
+    that dimension (faster than one call per spec: about 6% on mps-ring,
+    15% on brick-circuit); the non-Haar draws are unitary by construction
+    (a fixed gate is checked when its spec is made).  An index with a
+    rank-deficient Haar draw (probability zero) is drawn again from the
+    start of its stream: ``prefix``, the batch builder whose draws came
+    before the gates on each stream, is replayed on that one fresh stream
+    (its result discarded), then each spec draws through ``spec.draw``,
+    which keeps ``haar_unitary``'s redraw semantics.
     """
     count = len(rngs)
     draws = [np.empty((count, 2, spec.dim, spec.dim)) if spec.kind == "haar"
              else np.empty((count, spec.dim, spec.dim), dtype=complex) for spec in specs]
     for b, rng in enumerate(rngs):
-        if before is not None:
-            before(b, rng)
         for spec, stack in zip(specs, draws):
             if spec.kind == "haar":
                 rng.standard_normal(out=stack[b])
@@ -254,8 +253,8 @@ def draw_unitaries(
             out[j] = q[:, slot]
     for b in np.flatnonzero(redraw):
         rng = fresh_stream(rngs[b])
-        if before is not None:
-            before(b, rng)
+        if prefix is not None:
+            prefix([rng])
         for j, spec in enumerate(specs):
             out[j][b] = spec.draw(rng)
     return out
@@ -276,21 +275,24 @@ def grad_variance_mps(
 ) -> EstimateResult:
     """Empirical gradient statistics for one of the six sampling geometries.
 
-    Per sample: build the observable (o_builder is a fixed d x d matrix or
-    a callable rng -> matrix, e.g. one deriving O from a fresh Haar target),
-    draw the derivative site's (u_minus, u_plus) per the case, draw every
-    other site gate from ensembles["sites"], and evaluate the exact
-    gradient along g.  The derivative acts on site 0; off-site cases place
-    O delta sites away on the ring.
+    Per sample: take the observable, draw the derivative site's
+    (u_minus, u_plus) per the case, draw every other site gate from
+    ensembles["sites"], and evaluate the exact gradient along g.  The
+    derivative acts on site 0; off-site cases place O delta sites away on
+    the ring.
 
     In the minus/plus cases only that factor is Haar (the 2-design side);
     its partner comes from ensembles["partner"], default haar.
 
-    o_builder is called per index, before that index's gate draws; the
-    gradients of a batch are then evaluated together by
-    ``ansatz.grad_ring``, bitwise equal to ``grad_site`` per sample.
-    g and a fixed observable are checked Hermitian here, once; a built
-    observable is only checked for its d x d shape.
+    o_builder is a fixed d x d matrix, or a batch builder: a callable on a
+    batch's streams that returns one observable per stream as a (B, d, d)
+    stack, e.g. ``costs.target_observables`` deriving O from a fresh Haar
+    target.  It is called once per batch, before the gate draws, so each
+    stream draws its observable first, then its gates; it must make the
+    same draws on a stream whatever the batch.  The gradients of a batch are
+    evaluated together by ``ansatz.grad_ring``, bitwise equal to
+    ``grad_site`` per sample.  g and a fixed observable are checked
+    Hermitian here, once; a built stack is only checked for its shape.
     """
     case = VarianceCase(case)
     if n < 2:
@@ -315,19 +317,14 @@ def grad_variance_mps(
         if spec.dim != dim:
             raise ValueError("ensemble dim must equal D*d")
     minus_ig = -1j * check_hermitian(g)
-    fixed_o = None if callable(o_builder) else check_hermitian(_observable(o_builder, d))
+    build = o_builder if callable(o_builder) else None
+    fixed_o = check_hermitian(_shaped(o_builder, (d, d))) if build is None else None
     haar = EnsembleSpec.haar(dim)
     split = {"minus": (haar, partner), "plus": (partner, haar), "both": (haar, haar)}
     specs = (*split[case.value.rpartition("-")[2]], *(sites,) * (n - 1))
 
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        if fixed_o is None:
-            obs = np.empty((len(rngs), d, d), dtype=complex)
-
-            def build(b: int, rng: np.random.Generator) -> None:
-                obs[b] = _observable(o_builder(rng), d)
-        else:
-            obs, build = fixed_o, None
+        obs = fixed_o if build is None else _shaped(build(rngs), (len(rngs), d, d))
         u_minus, u_plus, *others = draw_unitaries(specs, rngs, build)
         gate = u_minus @ u_plus
         return grad_ring((u_minus @ minus_ig) @ u_plus, gate, np.stack(others, axis=1), obs, site_m, D, d)
@@ -335,7 +332,7 @@ def grad_variance_mps(
     return estimate(sampler, samples, seed, workers)
 
 
-def _observable(o, d: int):
-    if np.shape(o) != (d, d):
-        raise ValueError(f"observable must be {d}x{d}")
+def _shaped(o, shape: tuple):
+    if np.shape(o) != shape:
+        raise ValueError(f"observables must be {'x'.join(map(str, shape))}, got shape {np.shape(o)}")
     return o

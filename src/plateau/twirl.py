@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import haar_from_ginibre, haar_unitary, real_value
+from .linalg import haar_unitaries, real_value
 
 
 class PermLabel(enum.Enum):
@@ -111,15 +111,6 @@ _BATCH = 4096
 _SLICE = 256
 
 
-def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    # one stream for the whole batch; rank-deficient draws are redrawn after it
-    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, bad = haar_from_ginibre(g)
-    for k in np.nonzero(bad)[0]:
-        q[k] = haar_unitary(n, rng)
-    return q
-
-
 def _two_copy_batch(u: np.ndarray) -> np.ndarray:
     # per-slice kron(u, u) for a stack of unitaries
     b, n, _ = u.shape
@@ -144,7 +135,7 @@ def mc_twirl(x, n_dim: int, samples: int, seed: int) -> np.ndarray:
     done = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        u = _haar_batch(n, count, rng)
+        u = haar_unitaries(n, count, rng)
         for lo in range(0, count, _SLICE):
             w = _two_copy_batch(u[lo : lo + _SLICE])
             acc += (w @ x @ w.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -316,7 +307,7 @@ def diagram_mc(
     done = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        t = _pairing_traces(_haar_batch(D * d, count, rng), o, D, d)[:, :, right.index]
+        t = _pairing_traces(haar_unitaries(D * d, count, rng), o, D, d)[:, :, right.index]
         vals[done : done + count] = (t[:, own] - t[:, other] / D) / (D * D - 1.0)
         done += count
     mean = float(np.mean(vals))

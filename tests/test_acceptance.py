@@ -4,6 +4,7 @@ Each test prints a single PASS line with its headline numbers; a failed
 assert keeps the line out of the log, so the printed set is the pass list.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -30,11 +31,10 @@ from plateau.costs import (
     epsilon,
     haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
-    observable_xeb,
+    target_observables,
 )
 from plateau.linalg import (
     gue_hermitian,
-    haar_state,
     haar_unitary,
     pauli_string,
 )
@@ -91,7 +91,7 @@ def test_criterion_2_zero_mean_gradient():
     start = time.time()
     r = grad_variance_mps(
         "onsite-both", n=4, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z, g=ZI, samples=10_000, seed=3,
+        o_builder=Z, g=ZI, samples=10_000, seed=3,
     )
     elapsed = time.time() - start
     assert abs(r.mean) <= 3.0 * r.stderr_mean
@@ -111,7 +111,7 @@ def test_criterion_3_variance_matches_closed_form():
             want = variance_formula(vq, cc)
             r = grad_variance_mps(
                 "onsite-both", n=n, D=2, d=2, delta=None,
-                o_builder=lambda rng, m=o: m, g=ZI,
+                o_builder=o, g=ZI,
                 samples=10_000, seed=100 + n,
             )
             z = abs(r.variance - want) / r.stderr_variance
@@ -145,9 +145,7 @@ def test_criterion_5_xeb_decay_slope():
     for n in ns:
         r = grad_variance_mps(
             "onsite-both", n=int(n), D=2, d=2, delta=None,
-            o_builder=lambda rng, nn=int(n): observable_xeb(
-                haar_state(2**nn, rng), nn
-            ),
+            o_builder=functools.partial(target_observables, "xeb", int(n)),
             g=ZI, samples=10_000, seed=5,
         )
         log_vars.append(np.log(r.variance))
@@ -255,11 +253,11 @@ def test_criterion_9_reproducibility():
         )
     a = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z, g=ZI, samples=2000, seed=13, workers=1,
+        o_builder=Z, g=ZI, samples=2000, seed=13, workers=1,
     )
     b = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z, g=ZI, samples=2000, seed=13, workers=4,
+        o_builder=Z, g=ZI, samples=2000, seed=13, workers=4,
     )
     assert (a.mean, a.variance, a.stderr_mean, a.stderr_variance) == (
         b.mean, b.variance, b.stderr_mean, b.stderr_variance,

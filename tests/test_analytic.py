@@ -274,6 +274,6 @@ def test_formula_tracks_monte_carlo_gradient():
     want = variance_formula(vq, cc)
     r = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
-        o_builder=lambda rng: Z, g=ZI, samples=4000, seed=19,
+        o_builder=Z, g=ZI, samples=4000, seed=19,
     )
     assert abs(r.variance - want) <= 4.0 * r.stderr_variance

@@ -5,10 +5,12 @@ Each oracle redraws index k from ``_sample_rng(seed, k)`` with ``haar_unitary``
 batched samplers must give the same values bit for bit.
 """
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plateau import analytic, circuit, costs, linalg, mc
 from plateau.analytic import VarianceCase, _integrand, c_constants_mc
@@ -21,6 +23,7 @@ from plateau.costs import (
     observable_xeb,
     observable_xent,
     p_first_qubit,
+    target_observables,
 )
 from plateau.linalg import gue_hermitian, haar_state, haar_unitary, pauli_string
 from plateau.mc import BATCH, EnsembleSpec, _sample_rng, grad_variance_mps
@@ -73,6 +76,11 @@ def gue_builder(d):
     return lambda rng: gue_hermitian(d, rng)
 
 
+def stacked(build):
+    # the batch builder that calls a per-index builder on each stream in turn
+    return lambda rngs: np.stack([build(rng) for rng in rngs])
+
+
 # ---------------------------------------------------------------------------
 # MPS gradient
 
@@ -104,9 +112,10 @@ def test_mps_sampler_matches_per_sample(batched_values, case, partner, builder):
     delta = None if case.startswith("onsite") else 1
     g = gue_hermitian(D * d, np.random.default_rng(5))
     o = xeb_builder(3) if builder == "callable" else gue_hermitian(d, np.random.default_rng(6))
+    o_batch = functools.partial(target_observables, "xeb", 3) if builder == "callable" else o
     spec = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}[partner](D * d)
     (got,) = batched_values(mc, lambda: grad_variance_mps(
-        case, n, D, d, delta, o, g, {"partner": spec}, samples=SAMPLES, seed=seed))
+        case, n, D, d, delta, o_batch, g, {"partner": spec}, samples=SAMPLES, seed=seed))
     want = mps_oracle(case, n, D, d, delta, o, g, spec, EnsembleSpec.haar(D * d), seed, SAMPLES)
     assert_bitwise(got, want)
 
@@ -122,7 +131,7 @@ def test_mps_sampler_matches_per_sample_other_dims(batched_values, case, D, d, n
     builder = gue_builder(d)
     sites = EnsembleSpec.pauli_group(D * d) if D == 3 else EnsembleSpec.haar(D * d)
     (got,) = batched_values(mc, lambda: grad_variance_mps(
-        case, n, D, d, delta, builder, g, {"sites": sites}, samples=SAMPLES, seed=seed))
+        case, n, D, d, delta, stacked(builder), g, {"sites": sites}, samples=SAMPLES, seed=seed))
     want = mps_oracle(case, n, D, d, delta, builder, g, EnsembleSpec.haar(D * d), sites, seed, SAMPLES)
     assert_bitwise(got, want)
 
@@ -219,8 +228,8 @@ def fields(r):
 
 
 @pytest.mark.parametrize("run", [
-    lambda w: grad_variance_mps("onsite-both", 3, 2, 2, None, xeb_builder(2), pauli_string("ZI"),
-                                samples=BATCH + 3, seed=5, workers=w),
+    lambda w: grad_variance_mps("onsite-both", 3, 2, 2, None, functools.partial(target_observables, "xeb", 2),
+                                pauli_string("ZI"), samples=BATCH + 3, seed=5, workers=w),
     lambda w: costs.haar_avg_epsilon_mc("xent", 3, BATCH + 3, seed=5, workers=w),
     lambda w: circuit.circuit_variance_mc(
         LayeredCircuit(4, tuple((np.eye(4), s) for s in brick_supports(4, 2)), 3),
@@ -247,3 +256,63 @@ def test_rank_deficient_draw_falls_back_to_per_sample_redraw(batched_values, mon
     assert len(redrawn) == 1
     want = mps_oracle("onsite-both", n, D, d, None, o, g, None, EnsembleSpec.haar(D * d), seed, SAMPLES)
     assert_bitwise(got, want)
+
+
+def test_rank_deficient_redraw_replays_the_target_builder(batched_values, monkeypatch):
+    # as above, with a Haar-target observable: a redrawn index must replay
+    # its target's draws on the fresh stream before drawing its gates again
+    monkeypatch.setattr(linalg, "RANK_TOL", 0.09)
+    redrawn = []
+    fresh = mc.fresh_stream
+    monkeypatch.setattr(mc, "fresh_stream", lambda rng: redrawn.append(rng) or fresh(rng))
+    n, D, d, seed = 3, 2, 2, 1
+    g = pauli_string("ZI")
+    build = functools.partial(target_observables, "xeb", 4)
+    (got,) = batched_values(mc, lambda: grad_variance_mps(
+        "onsite-both", n, D, d, None, build, g, samples=SAMPLES, seed=seed))
+    assert len(redrawn) == 2
+    want = mps_oracle("onsite-both", n, D, d, None, xeb_builder(4), g, None, EnsembleSpec.haar(D * d), seed, SAMPLES)
+    assert_bitwise(got, want)
+
+
+def target_oracle(kind, n, rng):
+    vec = haar_state(2**n, rng)
+    if kind == "xeb":
+        return observable_xeb(vec, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        obs, clamped = observable_xent(vec, n)
+    return np.diag([np.nan, np.nan]) if clamped else obs
+
+
+@given(st.sampled_from(["xeb", "xent"]), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.integers(0, 10**6), st.integers(1, 40))
+@settings(deadline=None, max_examples=60)
+def test_target_observables_match_per_sample(kind, n, seed, start, count):
+    # each stacked row is the per-target observable of its own stream, and
+    # each stream is left where haar_state leaves it
+    rngs = [_sample_rng(seed, k) for k in range(start, start + count)]
+    got = target_observables(kind, n, rngs)
+    assert got.shape == (count, 2, 2)
+    for k, rng in zip(range(start, start + count), rngs):
+        ref = _sample_rng(seed, k)
+        assert_bitwise(got[k - start], target_oracle(kind, n, ref))
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_clamped_targets_are_excluded_by_every_consumer(monkeypatch):
+    # a raised log floor clamps about a tenth of the one-qubit targets; each
+    # gets a NaN diagonal, and all three consumers exclude the same indices
+    monkeypatch.setattr(costs, "P_FLOOR", 0.05)
+    seed = 3
+    rngs = [_sample_rng(seed, k) for k in range(SAMPLES)]
+    got = target_observables("xent", 1, rngs)
+    for k in range(SAMPLES):
+        assert_bitwise(got[k], target_oracle("xent", 1, _sample_rng(seed, k)))
+    clamped = int(np.isnan(got[:, 0, 0]).sum())
+    assert clamped > 0
+    build = functools.partial(target_observables, "xent", 1)
+    for r in (costs.haar_avg_epsilon_mc("xent", 1, SAMPLES, seed),
+              costs.trace_oe_sq_mc(1, SAMPLES, seed),
+              grad_variance_mps("onsite-both", 2, 1, 2, None, build, pauli_string("Z"), samples=SAMPLES, seed=seed)):
+        assert r.excluded == clamped

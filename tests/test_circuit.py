@@ -184,8 +184,6 @@ def test_variance_mc_zero_mean_and_determinism():
     assert r.variance > 0.0
     r2 = circuit_variance_mc(c, 0, v_k, Z, a, workers=3, **kw)
     assert (r.mean, r.variance, r.stderr_mean) == (r2.mean, r2.variance, r2.stderr_mean)
-    with pytest.raises(ValueError):
-        circuit_variance_mc(c, 0, v_k, Z, a, ensemble="pauli", samples=100, seed=0)
     with pytest.raises(ValueError, match="not Hermitian"):
         circuit_variance_mc(c, 0, v_k + 1j * np.eye(4), Z, a, samples=100, seed=0)
     with pytest.raises(ValueError, match="not Hermitian"):

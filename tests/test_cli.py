@@ -227,10 +227,33 @@ def test_config_verify_is_honoured(tmp_path):
     (["variance", "--case", "onsite-both", "--delta", "x"], "--delta must be an integer, got 'x'"),
     (["circuit", "--layout", "fullsingle", "--layers", "x"], "--layers must be an integer, got 'x'"),
     (["variance", "--cost", "xeb", "--O", "x"], "--O: unknown observable spec 'x'"),
+    (["haar-epsilon", "--n", "1", "--samples", "10", "--out", "no-such-dir/x.csv"],
+     "--out no-such-dir/x.csv: no such directory"),
+    (["variance", "--case", "offsite-both", "--n", "3", "--delta", "5"],
+     "--delta must satisfy 1 <= delta <= 2 for --case offsite-both at n=3, got 5"),
+    (["variance", "--case", "offsite-plus", "--n", "3", "--delta", "2"],
+     "--delta must satisfy 1 <= delta <= 1 for --case offsite-plus at n=3, got 2"),
 ])
 def test_bad_input_is_named(capsys, argv, message):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_out_is_checked_before_compute_and_kept_on_exit_two(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "haar_avg_epsilon_mc", never)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(["haar-epsilon", "--out", str(out)]) == 2
+        assert f"--out {out}:" in capsys.readouterr().err
+    # a run that exits 2 later neither truncates nor creates its --out file
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("keep\n")
+    for out in (kept, new):
+        assert cli.main(["variance", "--case", "offsite-both", "--n", "3", "--delta", "5", "--out", str(out)]) == 2
+    assert kept.read_text() == "keep\n"
+    assert not new.exists()
 
 
 def test_layout_file_errors_name_the_line(tmp_path, capsys):

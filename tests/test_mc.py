@@ -175,7 +175,7 @@ def test_grad_variance_zero_mean_onsite():
     o = pauli_string("Z")
     g = pauli_string("ZI")
     r = grad_variance_mps(
-        "onsite-both", n=3, D=2, d=2, delta=None, o_builder=lambda rng: o, g=g,
+        "onsite-both", n=3, D=2, d=2, delta=None, o_builder=o, g=g,
         samples=4000, seed=10,
     )
     assert abs(r.mean) <= 3.0 * r.stderr_mean
@@ -188,7 +188,7 @@ def test_grad_variance_accepts_all_cases():
     for case in [c.value for c in VarianceCase]:
         delta = 1 if case.startswith("offsite") else None
         r = grad_variance_mps(
-            case, n=3, D=2, d=2, delta=delta, o_builder=lambda rng: o, g=g,
+            case, n=3, D=2, d=2, delta=delta, o_builder=o, g=g,
             samples=200, seed=0,
         )
         assert np.isfinite(r.variance)
@@ -197,7 +197,7 @@ def test_grad_variance_accepts_all_cases():
 def test_grad_variance_worker_determinism():
     o = pauli_string("Z")
     g = pauli_string("ZI")
-    kw = dict(n=3, D=2, d=2, delta=None, o_builder=lambda rng: o, g=g,
+    kw = dict(n=3, D=2, d=2, delta=None, o_builder=o, g=g,
               samples=1500, seed=21)
     a = grad_variance_mps("onsite-both", **kw, workers=1)
     b = grad_variance_mps("onsite-both", **kw, workers=4)
@@ -209,10 +209,10 @@ def test_grad_variance_rejects_unknown_case():
     g = pauli_string("ZI")
     with pytest.raises(ValueError):
         grad_variance_mps("sideways", n=3, D=2, d=2, delta=None,
-                          o_builder=lambda rng: o, g=g, samples=100, seed=0)
+                          o_builder=o, g=g, samples=100, seed=0)
     with pytest.raises(ValueError):
         grad_variance_mps("offsite-both", n=3, D=2, d=2, delta=None,
-                          o_builder=lambda rng: o, g=g, samples=100, seed=0)
+                          o_builder=o, g=g, samples=100, seed=0)
     # the generator and a fixed observable are checked before any draw
     kw = dict(n=3, D=2, d=2, delta=None, samples=100, seed=0)
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -222,7 +222,7 @@ def test_grad_variance_rejects_unknown_case():
     with pytest.raises(ValueError, match="non-finite"):
         grad_variance_mps("onsite-both", o_builder=np.diag([np.nan, 1.0]), g=g, **kw)
     with pytest.raises(ValueError, match="2x2"):
-        grad_variance_mps("onsite-both", o_builder=lambda rng: np.eye(3), g=g, **kw)
+        grad_variance_mps("onsite-both", o_builder=lambda rngs: np.eye(3), g=g, **kw)
 
 
 def test_estimate_result_validation():

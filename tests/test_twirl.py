@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plateau import twirl
-from plateau.linalg import gue_hermitian
+from plateau.linalg import gue_hermitian, haar_unitaries
 from plateau.twirl import (
     DesignConstants,
     PermLabel,
     _dual_input,
-    _haar_batch,
     _pair_input,
     _pair_readout,
     _pairing_traces,
@@ -245,7 +244,7 @@ def two_copy_diagram_values(left, right, dc, samples, seed, o):
     rng = rng_for(seed)
     vals = []
     for lo in range(0, samples, twirl._BATCH):
-        w = _two_copy_batch(_haar_batch(dc.D * dc.d, min(twirl._BATCH, samples - lo), rng))
+        w = _two_copy_batch(haar_unitaries(dc.D * dc.d, min(twirl._BATCH, samples - lo), rng))
         y = w @ x @ w.conj().transpose(0, 2, 1)
         vals.append(np.einsum("bij,ji->b", y, r).real)
     return np.concatenate(vals)
@@ -269,7 +268,7 @@ def test_diagram_mc_matches_two_copy_contraction(dims, monkeypatch):
 @settings(deadline=None, max_examples=40)
 def test_pairing_traces_match_two_copy_trace(D, d, seed):
     rng = rng_for(seed)
-    u = _haar_batch(D * d, 3, rng)
+    u = haar_unitaries(D * d, 3, rng)
     o = gue_hermitian(d, rng)
     got = _pairing_traces(u, o, D, d)
     w = _two_copy_batch(u)
@@ -287,7 +286,7 @@ def test_mc_twirl_slices_match_unsliced(monkeypatch):
     rng = rng_for(11)
     acc = np.zeros((9, 9), dtype=complex)
     for lo in range(0, samples, twirl._BATCH):
-        w = _two_copy_batch(_haar_batch(3, min(twirl._BATCH, samples - lo), rng))
+        w = _two_copy_batch(haar_unitaries(3, min(twirl._BATCH, samples - lo), rng))
         acc += (w @ x @ w.conj().transpose(0, 2, 1)).sum(axis=0)
     assert np.max(np.abs(mc_twirl(x, 3, samples, seed=11) - acc / samples)) <= 1e-12
 
