@@ -269,6 +269,12 @@ def _run_record(cfg: dict, seed: int, points: list, started: float) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
+def _check_target_n(ns: range) -> None:
+    """A target-derived cost draws 2**n-amplitude Haar states: cap n as a circuit's qubits."""
+    if ns[-1] > QUBIT_CAP:
+        raise ConfigError(f"--n must be <= {QUBIT_CAP} for a target-derived cost, got {ns[-1]}")
+
+
 def _tagged(value, provenance: str, stderr=None, samples=None) -> dict:
     out = {"value": value, "provenance": provenance}
     if stderr is not None:
@@ -344,8 +350,10 @@ def run_identities(v: dict) -> Report:
 
 def run_variance(v: dict) -> Report:
     case, cost, D, d = VarianceCase(v["case"]), v["cost"], v["D"], v["d"]
-    if cost != "fixed" and d != 2:
-        raise ConfigError(f"--d must be 2 for --cost {cost}, got {d}")
+    if cost != "fixed":
+        if d != 2:
+            raise ConfigError(f"--d must be 2 for --cost {cost}, got {d}")
+        _check_target_n(v["n"])
     ns, samples, seed, workers = v["n"], v["samples"], v["seed"], v["workers"]
     delta = None if case.onsite else v["delta"]
     g = check_hermitian(_parse_generator(v["generator"], D * d))
@@ -407,6 +415,7 @@ def run_variance(v: dict) -> Report:
 
 
 def run_haar_epsilon(v: dict) -> Report:
+    _check_target_n(v["n"])
     cost, samples, seed, workers = v["cost"], v["samples"], v["seed"], v["workers"]
     rows, points = [], []
     for n in v["n"]:

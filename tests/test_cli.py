@@ -233,6 +233,9 @@ def test_config_verify_is_honoured(tmp_path):
      "--delta must satisfy 1 <= delta <= 2 for --case offsite-both at n=3, got 5"),
     (["variance", "--case", "offsite-plus", "--n", "3", "--delta", "2"],
      "--delta must satisfy 1 <= delta <= 1 for --case offsite-plus at n=3, got 2"),
+    # a target-derived cost holds 2**n amplitudes per target: n is capped before any compute
+    (["haar-epsilon", "--n", "40", "--samples", "4"], "--n must be <= 12 for a target-derived cost, got 40"),
+    (["variance", "--cost", "xent", "--n", "2:13"], "--n must be <= 12 for a target-derived cost, got 13"),
 ])
 def test_bad_input_is_named(capsys, argv, message):
     assert cli.main(argv) == 2

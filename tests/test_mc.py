@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plateau import mc
 from plateau.linalg import pauli_string
-from plateau.mc import EnsembleSpec, EstimateResult, VarianceCase, estimate, grad_variance_mps
+from plateau.mc import BATCH, EnsembleSpec, EstimateResult, VarianceCase, _sample_rng, estimate, grad_variance_mps
 
 
 def per_index(fn):
@@ -125,9 +127,59 @@ def test_sample_index_stream_is_stable():
     estimate(per_index(recorder), samples=80, seed=9)
 
 
+def hashed_streams(seed, indices):
+    """The streams of ``indices`` as ``estimate`` builds them: one hash for all."""
+    return [np.random.Generator(np.random.PCG64(mc._StreamSeed(w))) for w in mc._stream_words(seed, indices)]
+
+
+@given(
+    seed=st.one_of(st.just(0), st.integers(0, 2**200 - 1)),
+    start=st.one_of(
+        st.integers(0, 2**32 - 40),
+        st.integers(mc._CHUNK - 39, mc._CHUNK - 1),  # around a chunk boundary
+        st.just(2**32 - 40),  # ends at the last one-word spawn key
+    ),
+    count=st.integers(1, 40),
+)
+@settings(deadline=None, max_examples=60)
+def test_hashed_streams_equal_per_index_streams(seed, start, count):
+    indices = np.arange(start, start + count)
+    for k, rng in zip(indices, hashed_streams(seed, indices)):
+        ref = _sample_rng(seed, int(k))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        head = rng.standard_normal(64)
+        assert head.tobytes() == ref.standard_normal(64).tobytes()
+        # a replay of the drawn-from stream starts where a new per-index stream starts
+        fresh = mc.fresh_stream(rng)
+        assert fresh.bit_generator.state == _sample_rng(seed, int(k)).bit_generator.state
+        assert fresh.standard_normal(64).tobytes() == head.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimate_builds_no_stream_per_index(monkeypatch, workers):
+    samples, seed = mc._CHUNK + 3 * BATCH + 5, 9  # two chunks, a partial last batch
+    want = np.array([_sample_rng(seed, k).standard_normal() for k in range(samples)])
+
+    def per_index_stream(seed, index):
+        raise AssertionError("estimate built a stream on its own")
+
+    monkeypatch.setattr(mc, "_sample_rng", per_index_stream)
+    got = np.full(samples, np.nan)
+
+    def first_normal(indices, rngs):
+        got[indices] = [rng.standard_normal() for rng in rngs]
+        return got[indices]
+
+    estimate(first_normal, samples, seed, workers)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         estimate(per_index(lambda i, rng: 0.0), samples=1, seed=0)
+    # an index past 2**32 would need a second spawn-key word; refused before any allocation
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        estimate(per_index(lambda i, rng: 0.0), samples=2**32 + 1, seed=0)
     with pytest.raises(ValueError):
         estimate(per_index(lambda i, rng: 0.0), samples=100, seed=0, workers=0)
     with pytest.raises(ValueError):
