@@ -29,7 +29,7 @@ from .ansatz import (
     statevector,
     transfer,
 )
-from .mc import EnsembleSpec, EstimateResult, estimate, grad_variance_mps
+from .mc import EnsembleSpec, EstimateResult, estimate, estimate_columns, grad_variance_mps
 from .costs import (
     ClampWarning,
     CostKind,
@@ -42,7 +42,6 @@ from .costs import (
     observable_xent,
     p_first_qubit,
     trace_oe_sq,
-    trace_oe_sq_mc,
 )
 from .analytic import (
     CConstants,

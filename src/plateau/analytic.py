@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import epsilon
 from .linalg import check_hermitian, partial_trace
-from .mc import EnsembleSpec, VarianceCase, draw_unitaries, estimate
+from .mc import EnsembleSpec, VarianceCase, draw_unitaries, estimate_columns
 from .twirl import DesignConstants, PermLabel
 
 
@@ -195,7 +195,8 @@ def c_constants_mc(
 
     The minus cases integrate over u_plus draws, the plus cases over
     u_minus draws; ``ensemble`` is that unitary's distribution (default
-    haar).  Each constant is twice the ensemble mean of its integrand.
+    haar).  Each constant is twice the ensemble mean of its integrand; all
+    of the case's integrands are evaluated on one draw of that unitary.
     """
     need = [c for c in CASE_CONSTANTS[case] if c != "c4"]
     if any(c in ("c5", "c6") for c in need) and o is None:
@@ -207,11 +208,13 @@ def c_constants_mc(
         raise ValueError("ensemble dim must equal D*d")
 
     out = {"c4": ConstantEstimate(c4_closed(g, D, d), 0.0, 0, "closed_form")}
-    for name in need:
-        def sampler(indices, rngs, _name=name) -> np.ndarray:
-            return _integrands(_name, draw_unitaries((ensemble,), rngs)[0], g, o, D, d)
 
-        r = estimate(sampler, samples, seed, workers)
+    def sampler(indices, rngs) -> np.ndarray:
+        u = draw_unitaries((ensemble,), rngs)[0]
+        return np.stack([_integrands(name, u, g, o, D, d) for name in need], axis=1)
+
+    estimates = estimate_columns(sampler, len(need), samples, seed, workers) if need else ()
+    for name, r in zip(need, estimates):
         out[name] = ConstantEstimate(2.0 * r.mean, 2.0 * r.stderr_mean, samples, "monte_carlo")
     return CConstants(**out)
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import check_hermitian, check_split, check_unitary, real_value, rotation_fd
-from .mc import EnsembleSpec, EstimateResult, draw_unitaries, estimate
+from .mc import EnsembleSpec, EstimateResult, draw_unitaries, estimate_columns
 
 QUBIT_CAP = 12
 
@@ -84,14 +84,19 @@ def _run(n_qubits: int, gates: Sequence, supports: Sequence, lead: tuple = ()) -
     return psi
 
 
-def _check_obs(c: LayeredCircuit, o_a, a: Sequence[int]) -> tuple:
+def _check_support(c: LayeredCircuit, a: Sequence[int]) -> tuple:
     a = tuple(int(q) for q in a)
     if len(set(a)) != len(a) or any(q < 0 or q >= c.n_qubits for q in a):
         raise ValueError(f"bad observable support {a}")
-    if np.shape(o_a) != (2 ** len(a),) * 2:
-        raise ValueError("observable dim must match its support")
     if not set(a) <= set(c.gates[c.observable_layer][1]):
         raise ValueError("observable support must sit inside the observable layer's support")
+    return a
+
+
+def _check_obs(c: LayeredCircuit, o_a, a: Sequence[int]) -> tuple:
+    a = _check_support(c, a)
+    if np.shape(o_a) != (2 ** len(a),) * 2:
+        raise ValueError("observable dim must match its support")
     return a
 
 
@@ -144,20 +149,23 @@ def circuit_variance_mc(
     c_template: LayeredCircuit,
     layer: int,
     v_k,
-    o_a,
+    observables: Sequence,
     a: Sequence[int],
     samples: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-) -> EstimateResult:
-    """Gradient statistics with every layer redrawn per sample.
+) -> tuple[EstimateResult, ...]:
+    """Gradient statistics of each observable, with every layer redrawn per sample.
 
     The template fixes the layout (supports and observable layer) only;
     each sample draws fresh Haar unitaries on every support.  The derivative
     layer's gate is the product of two independent draws, between which
-    -i v_k is inserted.
+    -i v_k is inserted.  Every observable acts on the qubits ``a``; each is
+    checked before any draw, and an error names its position.  The circuits
+    of a batch are simulated once for all of them, and the result holds one
+    ``EstimateResult`` per observable, in order.
     """
-    a = _check_obs(c_template, o_a, a)
+    a = _check_support(c_template, a)
     if not 0 <= layer < len(c_template.gates):
         raise IndexError("derivative layer out of range")
     supports = c_template.supports
@@ -165,7 +173,15 @@ def circuit_variance_mc(
     if np.shape(v_k) != (dim_k, dim_k):
         raise ValueError("v_k dim must match the derivative layer")
     minus_iv = -1j * check_hermitian(v_k)
-    o_a = check_hermitian(o_a)
+    if len(observables) == 0:
+        raise ValueError("need at least one observable")
+    checked = []
+    for i, o_a in enumerate(observables):
+        try:
+            _check_obs(c_template, o_a, a)
+            checked.append(check_hermitian(o_a))
+        except ValueError as exc:
+            raise ValueError(f"observables[{i}]: {exc}") from None
     # draw order: one gate per support, the derivative layer's u_minus then u_plus
     specs = [EnsembleSpec.haar(2 ** len(s)) for s in supports]
     specs.insert(layer, specs[layer])
@@ -177,6 +193,7 @@ def circuit_variance_mc(
         psi = _run(c_template.n_qubits, gates, supports, (len(rngs),))
         gates[layer] = um @ minus_iv @ up
         dpsi = _run(c_template.n_qubits, gates, supports, (len(rngs),))
-        return 2.0 * expectation(dpsi, o_a, a, c_template.n_qubits, phi=psi).real
+        return np.stack([2.0 * expectation(dpsi, o_a, a, c_template.n_qubits, phi=psi).real
+                         for o_a in checked], axis=1)
 
-    return estimate(sampler, samples, seed, workers)
+    return estimate_columns(sampler, len(checked), samples, seed, workers)

@@ -49,7 +49,6 @@ from .costs import (
     haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
     target_observables,
-    trace_oe_sq_mc,
 )
 from .linalg import check_hermitian, gue_hermitian, pauli_string
 from .mc import EnsembleSpec, grad_variance_mps
@@ -380,7 +379,7 @@ def run_variance(v: dict) -> Report:
         else:
             o_builder = functools.partial(target_observables, cost, n)
             cc, analytic_val = None, None
-            eps_est = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
+            eps_est, _ = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
             eps_val, eps_prov, eps_se = eps_est.mean, "empirical", eps_est.stderr_mean
         r = grad_variance_mps(case, n, D, d, delta, o_builder, g, {"partner": partner}, samples, seed, workers)
         rows.append([n, r.variance, r.stderr_variance, analytic_val, eps_val, samples, seed])
@@ -419,9 +418,8 @@ def run_haar_epsilon(v: dict) -> Report:
     cost, samples, seed, workers = v["cost"], v["samples"], v["seed"], v["workers"]
     rows, points = [], []
     for n in v["n"]:
-        r = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
+        r, tr = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
         closed = haar_avg_epsilon_xeb_closed(n) if cost == "xeb" else None
-        tr = trace_oe_sq_mc(n, samples, seed, workers) if cost == "xent" else None
         rows.append([n, r.mean, r.stderr_mean, closed, tr.mean if tr else None, r.excluded])
         point = {
             "n": n,
@@ -508,13 +506,15 @@ def run_circuit(v: dict) -> Report:
     v_k = check_hermitian(_parse_generator(v["generator"], 2 ** len(supports[deriv_layer])))
 
     obs_rng = np.random.default_rng(np.random.SeedSequence(v["obs_seed"]))
-    observables = [
-        ("Z-string", np.diag([(-1.0) ** bin(x).count("1") for x in range(d_a)])),
-        ("projector-0", np.diag([1.0] + [0.0] * (d_a - 1))),
-        ("X-string", pauli_string("X" * len(a))),
-        ("ramp-diag", np.diag(np.arange(d_a, dtype=float) * 2.0 - 1.0)),
-        ("random-hermitian", gue_hermitian(d_a, obs_rng)),
-    ]
+    observables = {
+        "Z-string": np.diag([(-1.0) ** bin(x).count("1") for x in range(d_a)]),
+        "projector-0": np.diag([1.0] + [0.0] * (d_a - 1)),
+        "X-string": pauli_string("X" * len(a)),
+        "ramp-diag": np.diag(np.arange(d_a, dtype=float) * 2.0 - 1.0),
+        "random-hermitian": gue_hermitian(d_a, obs_rng),
+    }
+    results = circuit_variance_mc(template, deriv_layer, v_k, list(observables.values()), a,
+                                  samples, seed, v["workers"])
 
     lines = [
         f"layout {layout}: {len(supports)} gates on {n_qubits} qubits, "
@@ -522,8 +522,7 @@ def run_circuit(v: dict) -> Report:
         f"{'observable':18s} {'mean':>13s} {'3*se(mean)':>13s} {'variance':>13s} {'se(var)':>12s} {'var/eps':>12s}",
     ]
     ratios, zero_ok = [], True
-    for name, o in observables:
-        r = circuit_variance_mc(template, deriv_layer, v_k, o, a, samples, seed, v["workers"])
+    for (name, o), r in zip(observables.items(), results):
         eps_val = epsilon(o, d_a)
         ok = abs(r.mean) <= 3.0 * r.stderr_mean
         zero_ok = zero_ok and ok
@@ -572,7 +571,8 @@ def _common(samples: str) -> list[Flag]:
     ]
 
 
-_WORKERS = Flag("--workers", "1", "int", 1, "worker threads")
+_WORKERS = Flag("--workers", "1", "int", 1,
+                "worker threads; the numbers do not depend on it, and on 2 CPUs 2 threads ran no faster than 1")
 _VERIFY = Flag("--verify", False, "flag", help="re-run and require byte-identical numbers")
 _TABLE_FORMAT = Flag("--format", "csv", "choice", choices=("csv", "json"))
 

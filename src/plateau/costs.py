@@ -12,7 +12,7 @@ controls every gradient variance downstream.
 
 Over Haar targets they come from one place, ``target_observables``: a
 (B, 2, 2) stack, one target per stream, with a NaN diagonal where an xent
-target hits the log floor.  The gradient sampler and both epsilon averages
+target hits the log floor.  The gradient sampler and the epsilon average
 read it; ``observable_xeb`` and ``observable_xent`` are its references.
 """
 
@@ -21,12 +21,12 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import haar_state, haar_state_from_gaussian
-from .mc import EstimateResult, estimate
+from .mc import EstimateResult, estimate_columns
 
 P_FLOOR = 1e-30
 
@@ -170,39 +170,31 @@ def target_observables(kind, n: int, rngs: Sequence[np.random.Generator]) -> np.
     return obs
 
 
-def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int, workers: int = 1) -> EstimateResult:
-    """Sample mean of epsilon(O_kind(V)) over Haar targets.
+def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int,
+                        workers: int = 1) -> tuple[EstimateResult, Optional[EstimateResult]]:
+    """Sample means of epsilon(O_kind(V)) and of Tr(O_xent(V)²) over Haar targets.
 
     Only the state V|0...0> enters, so targets are drawn as Haar states,
-    through ``target_observables``.  A clamped xent target is excluded
-    (its count lands in the result's ``excluded`` field).
+    through ``target_observables``, and both estimates read the same draws.
+    The second is None for xeb: O_xeb has trace zero, so its Tr(O²) is
+    epsilon itself.  A clamped xent target is excluded from both (its count
+    lands in each result's ``excluded`` field).
     """
     kind = CostKind(kind)
     if n < 1:
         raise ValueError("n must be >= 1")
+    xent = kind is CostKind.CROSS_ENTROPY
 
     def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         v = np.diagonal(target_observables(kind, n, rngs), axis1=1, axis2=2)
         t1 = v[:, 0] + v[:, 1]
-        return np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)
+        columns = [np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)]
+        if xent:
+            # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
+            # round differently in the last place on some inputs
+            sq = np.array([math.pow(x, 2) for x in v.ravel().tolist()]).reshape(v.shape)
+            columns.append(sq[:, 0] + sq[:, 1])
+        return np.stack(columns, axis=1)
 
-    return estimate(sampler, samples, seed, workers)
-
-
-def trace_oe_sq_mc(n: int, samples: int, seed: int, workers: int = 1) -> EstimateResult:
-    """Sample mean of Tr(O_xent²) over Haar targets, clamped draws excluded.
-
-    Shares the per-index streams of ``haar_avg_epsilon_mc``, so the same
-    seed sees the same targets.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        v = np.diagonal(target_observables(CostKind.CROSS_ENTROPY, n, rngs), axis1=1, axis2=2)
-        # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
-        # round differently in the last place on some inputs
-        sq = np.array([math.pow(x, 2) for x in v.ravel().tolist()]).reshape(v.shape)
-        return sq[:, 0] + sq[:, 1]
-
-    return estimate(sampler, samples, seed, workers)
+    results = estimate_columns(sampler, 1 + xent, samples, seed, workers)
+    return results if xent else (results[0], None)

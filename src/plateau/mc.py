@@ -13,6 +13,13 @@ stacked numpy operations over the batch.  Worker threads take whole
 batches.  The reduction is always performed serially in index order with
 exact summation, which makes results bitwise identical across worker
 counts.
+
+Return convention: ``estimate`` takes a sampler that returns one value per
+index and returns one ``EstimateResult``.  ``estimate_columns`` takes a
+sampler that returns a (B, k) array, k quantities read from the same draws,
+and returns a tuple of k results: each column is reduced alone, exactly as
+``estimate`` reduces a one-value sampler, so a command that needs several
+quantities draws its streams once.
 """
 
 from __future__ import annotations
@@ -213,6 +220,29 @@ def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> Est
     ``excluded``).  Variance is the unbiased estimator; its standard error
     comes from a delete-one-block jackknife over up to 100 blocks.
     """
+    (result,) = _draw_and_reduce(sampler, (), samples, seed, workers)
+    return result
+
+
+def estimate_columns(sampler: Sampler, columns: int, samples: int, seed: int,
+                     workers: int = 1) -> tuple[EstimateResult, ...]:
+    """``estimate`` of several quantities read from the same draws: ``sampler``
+    returns a (B, columns) array, and the result holds one ``EstimateResult``
+    per column, in order, each bitwise ``estimate`` of a sampler returning
+    only that column (a NaN excludes only its own cell)."""
+    if columns < 1:
+        raise ValueError("columns must be >= 1")
+    return _draw_and_reduce(sampler, (columns,), samples, seed, workers)
+
+
+# ``estimate`` and ``estimate_columns`` share this core rather than one
+# calling the other: perfbench's tracer rebinds every public name of this
+# module, and its ``estimate`` wrapper reads ``.samples`` and ``.excluded``
+# from the value it returns.
+def _draw_and_reduce(sampler: Sampler, width: tuple, samples: int, seed: int,
+                     workers: int) -> tuple[EstimateResult, ...]:
+    """One result per column of the (samples, *width) values: the draw loop
+    of ``estimate``, then its reduction on each column alone."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if samples > 2**32:
@@ -222,12 +252,12 @@ def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> Est
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    values = np.empty(samples)
+    values = np.empty((samples, *width))
 
     def run_batch(indices: np.ndarray, words: np.ndarray) -> None:
         rngs = [np.random.Generator(np.random.PCG64(_StreamSeed(w))) for w in words]
         out = np.asarray(sampler(indices, rngs), dtype=float)
-        if out.shape != indices.shape:
+        if out.shape != (len(indices), *width):
             raise ValueError(f"sampler returned shape {out.shape} for {len(indices)} indices")
         values[indices] = out
 
@@ -239,6 +269,12 @@ def estimate(sampler: Sampler, samples: int, seed: int, workers: int = 1) -> Est
             cuts = [slice(b, b + BATCH) for b in range(0, len(indices), BATCH)]
             list(run(run_batch, [indices[c] for c in cuts], [words[c] for c in cuts]))
 
+    return tuple(_reduce(column, seed) for column in values.reshape(samples, -1).T)
+
+
+def _reduce(values: np.ndarray, seed: int) -> EstimateResult:
+    """Exact-sum mean, variance and jackknife errors of one column of values."""
+    samples = len(values)
     keep = ~np.isnan(values)
     excluded = int(samples - keep.sum())
     n = int(keep.sum())

@@ -128,7 +128,7 @@ def test_criterion_4_haar_epsilon_closed_form():
     assert haar_avg_epsilon_xeb_closed(2) == pytest.approx(0.4, abs=1e-15)
     worst = 0.0
     for n in range(1, 7):
-        r = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, n, samples=10_000, seed=4)
+        r, _ = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, n, samples=10_000, seed=4)
         z = abs(r.mean - haar_avg_epsilon_xeb_closed(n)) / r.stderr_mean
         worst = max(worst, z)
         assert z <= 3.0
@@ -161,7 +161,7 @@ def test_criterion_6_xent_epsilon_nonincreasing():
     start = time.time()
     means = []
     for n in range(2, 7):
-        r = haar_avg_epsilon_mc(CostKind.CROSS_ENTROPY, n, samples=2000, seed=6)
+        r, _ = haar_avg_epsilon_mc(CostKind.CROSS_ENTROPY, n, samples=2000, seed=6)
         if n >= 3:
             assert r.excluded <= 0.01 * r.samples
         means.append(r.mean)
@@ -188,8 +188,8 @@ def test_criterion_7_circuit_factorization():
         gue_hermitian(2, rng_for(9)),
     )
     ratios, sigmas = [], []
-    for o in observables:
-        r = circuit_variance_mc(c, 0, v_k, o, (qubit,), samples=10_000, seed=10)
+    results = circuit_variance_mc(c, 0, v_k, observables, (qubit,), samples=10_000, seed=10)
+    for o, r in zip(observables, results):
         assert abs(r.mean) <= 3.0 * r.stderr_mean
         eps = epsilon(o, 2)
         ratios.append(r.variance / eps)

@@ -41,24 +41,33 @@ def assert_bitwise(got, want):
 
 @pytest.fixture
 def batched_values(monkeypatch):
-    """Run call() with module.estimate recording every per-index value."""
+    """Run call() with module.estimate and module.estimate_columns recording
+    every per-index value: one run per estimated column, in call order."""
 
     def run(module, call):
         runs = []
-        real = mc.estimate
+        real, real_columns = mc.estimate, mc.estimate_columns
 
-        def recording(sampler, samples, seed, workers=1):
-            values = np.full(samples, -1.0)
+        def record(sampler, samples, width):
+            values = np.full((samples, *width), -1.0)
 
             def rec(indices, rngs):
                 out = sampler(indices, rngs)
                 values[indices] = out
                 return out
 
-            runs.append(values)
-            return real(rec, samples, seed, workers)
+            runs.extend(values.reshape(samples, -1).T)
+            return rec
 
-        monkeypatch.setattr(module, "estimate", recording)
+        def recording(sampler, samples, seed, workers=1):
+            return real(record(sampler, samples, ()), samples, seed, workers)
+
+        def recording_columns(sampler, columns, samples, seed, workers=1):
+            return real_columns(record(sampler, samples, (columns,)), columns, samples, seed, workers)
+
+        for name, fake in (("estimate", recording), ("estimate_columns", recording_columns)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
         call()
         return runs
 
@@ -173,13 +182,14 @@ def epsilon_oracle(kind, n, seed, samples):
 @pytest.mark.parametrize("kind", ["xeb", "xent"])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_haar_epsilon_matches_per_sample(batched_values, kind, n):
-    (got,) = batched_values(costs, lambda: costs.haar_avg_epsilon_mc(kind, n, SAMPLES, seed=n))
-    assert_bitwise(got, epsilon_oracle(kind, n, n, SAMPLES))
+    runs = batched_values(costs, lambda: costs.haar_avg_epsilon_mc(kind, n, SAMPLES, seed=n))
+    assert len(runs) == (2 if kind == "xent" else 1)  # xent adds Tr(O²) on the same draws
+    assert_bitwise(runs[0], epsilon_oracle(kind, n, n, SAMPLES))
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_trace_oe_sq_matches_per_sample(batched_values, n):
-    (got,) = batched_values(costs, lambda: costs.trace_oe_sq_mc(n, SAMPLES, seed=2))
+    _, got = batched_values(costs, lambda: costs.haar_avg_epsilon_mc("xent", n, SAMPLES, seed=2))
     want = []
     for k in range(SAMPLES):
         p = p_first_qubit(haar_state(2**n, _sample_rng(2, k)), n)
@@ -213,10 +223,12 @@ def test_circuit_sampler_matches_per_sample(batched_values, n_qubits, supports, 
     obs_layer = len(supports) - 1
     template = LayeredCircuit(n_qubits, tuple((np.eye(2 ** len(s)), s) for s in supports), obs_layer)
     v = gue_hermitian(2 ** len(supports[layer]), np.random.default_rng(1))
-    o = gue_hermitian(2 ** len(a), np.random.default_rng(2))
-    (got,) = batched_values(circuit, lambda: circuit.circuit_variance_mc(
-        template, layer, v, o, a, samples=SAMPLES, seed=6))
-    assert_bitwise(got, circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, 6, SAMPLES))
+    observables = [gue_hermitian(2 ** len(a), np.random.default_rng(s)) for s in (2, 3)]
+    runs = batched_values(circuit, lambda: circuit.circuit_variance_mc(
+        template, layer, v, observables, a, samples=SAMPLES, seed=6))
+    assert len(runs) == len(observables)
+    for got, o in zip(runs, observables):
+        assert_bitwise(got, circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, 6, SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +240,17 @@ def fields(r):
 
 
 @pytest.mark.parametrize("run", [
-    lambda w: grad_variance_mps("onsite-both", 3, 2, 2, None, functools.partial(target_observables, "xeb", 2),
-                                pauli_string("ZI"), samples=BATCH + 3, seed=5, workers=w),
+    lambda w: (grad_variance_mps("onsite-both", 3, 2, 2, None, functools.partial(target_observables, "xeb", 2),
+                                 pauli_string("ZI"), samples=BATCH + 3, seed=5, workers=w),),
     lambda w: costs.haar_avg_epsilon_mc("xent", 3, BATCH + 3, seed=5, workers=w),
     lambda w: circuit.circuit_variance_mc(
         LayeredCircuit(4, tuple((np.eye(4), s) for s in brick_supports(4, 2)), 3),
-        1, pauli_string("ZZ"), pauli_string("Z"), (0,), samples=BATCH + 3, seed=5, workers=w),
+        1, pauli_string("ZZ"), [pauli_string("Z"), pauli_string("X")], (0,), samples=BATCH + 3, seed=5, workers=w),
 ])
 def test_batch_boundary_independent_of_workers(run):
-    base = run(1)
+    base = [fields(r) for r in run(1)]
     for workers in (2, 3):
-        assert fields(run(workers)) == fields(base)
+        assert [fields(r) for r in run(workers)] == base
 
 
 def test_rank_deficient_draw_falls_back_to_per_sample_redraw(batched_values, monkeypatch):
@@ -312,7 +324,44 @@ def test_clamped_targets_are_excluded_by_every_consumer(monkeypatch):
     clamped = int(np.isnan(got[:, 0, 0]).sum())
     assert clamped > 0
     build = functools.partial(target_observables, "xent", 1)
-    for r in (costs.haar_avg_epsilon_mc("xent", 1, SAMPLES, seed),
-              costs.trace_oe_sq_mc(1, SAMPLES, seed),
+    for r in (*costs.haar_avg_epsilon_mc("xent", 1, SAMPLES, seed),
               grad_variance_mps("onsite-both", 2, 1, 2, None, build, pauli_string("Z"), samples=SAMPLES, seed=seed)):
         assert r.excluded == clamped
+
+
+# ---------------------------------------------------------------------------
+# one pass per command: every estimate of a command reads one set of draws
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_circuit_command_draws_each_batch_once(monkeypatch, capsys):
+    from plateau import cli
+
+    calls = counting(monkeypatch, circuit, "draw_unitaries")
+    samples = 3 * BATCH + 4
+    assert cli.main(["circuit", "--qubits", "4", "--layers", "2", "--samples", str(samples), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 8  # five observables read the draws
+    assert len(calls) == -(-samples // BATCH)
+
+
+def test_xent_epsilon_command_draws_each_target_once(monkeypatch):
+    from plateau import cli
+
+    calls = counting(monkeypatch, costs, "target_observables")
+    samples = 2 * BATCH + 1
+    assert cli.main(["haar-epsilon", "--cost", "xent", "--n", "2:4", "--samples", str(samples)]) == 0
+    assert len(calls) == 3 * -(-samples // BATCH)
+
+
+@pytest.mark.parametrize("case", [VarianceCase.ONSITE_MINUS, VarianceCase.ONSITE_PLUS])
+def test_constants_draw_each_batch_once(monkeypatch, case):
+    calls = counting(monkeypatch, analytic, "draw_unitaries")
+    cc = c_constants_mc(case, pauli_string("ZI"), pauli_string("Z"), 2, 2, samples=SAMPLES, seed=3)
+    assert all(getattr(cc, name) is not None for name in analytic.CASE_CONSTANTS[case])
+    assert len(calls) == -(-SAMPLES // BATCH)

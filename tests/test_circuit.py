@@ -179,17 +179,17 @@ def test_variance_mc_zero_mean_and_determinism():
     v_k = gue_hermitian(4, rng_for(4))
     a = (c.gates[c.observable_layer][1][0],)
     kw = dict(samples=1500, seed=6)
-    r = circuit_variance_mc(c, 0, v_k, Z, a, **kw)
+    (r,) = circuit_variance_mc(c, 0, v_k, [Z], a, **kw)
     assert abs(r.mean) <= 3.0 * r.stderr_mean
     assert r.variance > 0.0
-    r2 = circuit_variance_mc(c, 0, v_k, Z, a, workers=3, **kw)
+    (r2,) = circuit_variance_mc(c, 0, v_k, [Z], a, workers=3, **kw)
     assert (r.mean, r.variance, r.stderr_mean) == (r2.mean, r2.variance, r2.stderr_mean)
     with pytest.raises(ValueError, match="not Hermitian"):
-        circuit_variance_mc(c, 0, v_k + 1j * np.eye(4), Z, a, samples=100, seed=0)
+        circuit_variance_mc(c, 0, v_k + 1j * np.eye(4), [Z], a, samples=100, seed=0)
     with pytest.raises(ValueError, match="not Hermitian"):
-        circuit_variance_mc(c, 0, v_k, X @ Z, a, samples=100, seed=0)
+        circuit_variance_mc(c, 0, v_k, [X @ Z], a, samples=100, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
-        circuit_variance_mc(c, 0, v_k, np.diag([1.0, np.nan]), a, samples=100, seed=0)
+        circuit_variance_mc(c, 0, v_k, [np.diag([1.0, np.nan])], a, samples=100, seed=0)
 
 
 def test_variance_over_epsilon_constant_across_observables():
@@ -201,9 +201,29 @@ def test_variance_over_epsilon_constant_across_observables():
     ratios = []
     sigmas = []
     for o, eps in ((Z, 2.0), (X, 2.0), (np.diag([1.0, 0.0]), 0.5)):
-        r = circuit_variance_mc(c, 1, v_k, o, a, samples=4000, seed=7)
+        (r,) = circuit_variance_mc(c, 1, v_k, [o], a, samples=4000, seed=7)
         ratios.append(r.variance / eps)
         sigmas.append(r.stderr_variance / eps)
     for i in range(1, len(ratios)):
         gap = abs(ratios[i] - ratios[0])
         assert gap <= 3.0 * float(np.hypot(sigmas[i], sigmas[0]))
+
+
+def test_variance_mc_checks_every_observable_before_any_draw(monkeypatch):
+    from plateau import circuit
+
+    def never(*args, **kwargs):
+        raise AssertionError("drew before every observable was checked")
+
+    monkeypatch.setattr(circuit, "draw_unitaries", never)
+    c = random_circuit(4, 2, rng_for(3))
+    v_k = gue_hermitian(4, rng_for(4))
+    a = (c.gates[c.observable_layer][1][0],)
+    for observables, message in (
+        ([Z, np.eye(4), X], r"observables\[1\]: observable dim must match its support"),
+        ([Z, X, X @ Z], r"observables\[2\]: .*not Hermitian"),
+        ([np.diag([1.0, np.inf]), Z], r"observables\[0\]: .*non-finite"),
+        ([], "at least one observable"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            circuit_variance_mc(c, 0, v_k, observables, a, samples=100, seed=0)

@@ -14,7 +14,6 @@ from plateau.costs import (
     observable_xent,
     p_first_qubit,
     trace_oe_sq,
-    trace_oe_sq_mc,
 )
 from plateau.linalg import haar_state, haar_unitary
 
@@ -129,23 +128,23 @@ def test_closed_form_haar_average():
 
 
 def test_haar_avg_epsilon_mc_matches_closed():
-    r = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 2, samples=4000, seed=6)
+    r, _ = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 2, samples=4000, seed=6)
     assert abs(r.mean - 0.4) <= 3.0 * r.stderr_mean
-    again = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 2, samples=4000, seed=6)
+    again, trace_sq = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 2, samples=4000, seed=6)
     assert again.mean == r.mean
+    assert trace_sq is None  # Tr(O_xeb²) is epsilon itself
 
 
 def test_haar_avg_epsilon_mc_xent_runs():
-    r = haar_avg_epsilon_mc(CostKind.CROSS_ENTROPY, 3, samples=2000, seed=7)
+    r, t = haar_avg_epsilon_mc(CostKind.CROSS_ENTROPY, 3, samples=2000, seed=7)
     assert r.mean > 0.0
     assert r.excluded <= r.samples // 100
-    t = trace_oe_sq_mc(3, samples=2000, seed=7)
     assert t.mean > 0.0
 
 
 def test_haar_avg_epsilon_mc_accepts_string_kind():
-    a = haar_avg_epsilon_mc("xeb", 1, samples=500, seed=0)
-    b = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 1, samples=500, seed=0)
+    a, _ = haar_avg_epsilon_mc("xeb", 1, samples=500, seed=0)
+    b, _ = haar_avg_epsilon_mc(CostKind.LINEAR_XEB, 1, samples=500, seed=0)
     assert a.mean == b.mean
     with pytest.raises(ValueError):
         haar_avg_epsilon_mc("generic", 1, samples=500, seed=0)

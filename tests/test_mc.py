@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from plateau import mc
 from plateau.linalg import pauli_string
-from plateau.mc import BATCH, EnsembleSpec, EstimateResult, VarianceCase, _sample_rng, estimate, grad_variance_mps
+from plateau.mc import (
+    BATCH,
+    EnsembleSpec,
+    EstimateResult,
+    VarianceCase,
+    _sample_rng,
+    estimate,
+    estimate_columns,
+    grad_variance_mps,
+)
 
 
 def per_index(fn):
@@ -184,6 +193,43 @@ def test_estimate_validation():
         estimate(per_index(lambda i, rng: 0.0), samples=100, seed=0, workers=0)
     with pytest.raises(ValueError):
         estimate(lambda indices, rngs: np.zeros(1), samples=100, seed=0)
+    with pytest.raises(ValueError, match="columns"):
+        estimate_columns(lambda indices, rngs: np.zeros((len(indices), 0)), 0, samples=100, seed=0)
+    for shape in ((), (2,)):  # one value per index is not a column of them
+        with pytest.raises(ValueError, match="sampler returned shape"):
+            estimate_columns(lambda indices, rngs: np.zeros((len(indices), *shape)), 1, samples=100, seed=0)
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([2, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 7, mc._CHUNK - 1, mc._CHUNK + BATCH + 3]),
+    st.integers(0, 2**32 - 1),
+    st.sets(st.tuples(st.integers(0, mc._CHUNK + BATCH + 2), st.integers(0, 3)), max_size=12),
+    st.sampled_from([1, 3]),
+)
+@settings(deadline=None, max_examples=30)
+def test_each_column_is_its_own_estimate(k, samples, seed, nan_cells, workers):
+    # each index draws k normals from its stream; the drawn NaN cells are
+    # excluded from their own column only
+    nan = np.zeros((samples, k), dtype=bool)
+    for i, j in nan_cells:
+        if i < samples and j < k:
+            nan[i, j] = True
+
+    def sampler(indices, rngs):
+        out = np.array([rng.standard_normal(k) for rng in rngs])
+        out[nan[indices]] = np.nan
+        return out
+
+    if (~nan).sum(axis=0).min() < 2:
+        with pytest.raises(ValueError, match="fewer than two"):
+            estimate_columns(sampler, k, samples, seed, workers)
+        return
+    got = estimate_columns(sampler, k, samples, seed, workers)
+    assert len(got) == k
+    for j, r in enumerate(got):
+        want = estimate(lambda indices, rngs, j=j: sampler(indices, rngs)[:, j], samples, seed, workers)
+        assert [float(x).hex() for x in fields(r)] == [float(x).hex() for x in fields(want)]
 
 
 def test_ensemble_spec_draws():
