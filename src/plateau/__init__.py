@@ -29,13 +29,12 @@ from .ansatz import (
     statevector,
     transfer,
 )
-from .mc import EnsembleSpec, EstimateResult, estimate, estimate_columns, grad_variance_mps
+from .mc import EnsembleSpec, EstimateResult, estimate, estimate_columns, grad_variance_mps, haar_avg_epsilon_mc
 from .costs import (
     ClampWarning,
     CostKind,
     cross_entropy,
     epsilon,
-    haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
     linear_xeb,
     observable_xeb,

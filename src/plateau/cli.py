@@ -44,14 +44,9 @@ from .analytic import (
     variance_formula,
 )
 from .circuit import QUBIT_CAP, LayeredCircuit, brick_supports, circuit_variance_mc
-from .costs import (
-    epsilon,
-    haar_avg_epsilon_mc,
-    haar_avg_epsilon_xeb_closed,
-    target_observables,
-)
+from .costs import epsilon, haar_avg_epsilon_xeb_closed, target_observables
 from .linalg import check_hermitian, gue_hermitian, pauli_string
-from .mc import EnsembleSpec, grad_variance_mps
+from .mc import MAX_SAMPLES, EnsembleSpec, grad_variance_mps, haar_avg_epsilon_mc
 from .twirl import (
     DesignConstants,
     PermLabel,
@@ -75,8 +70,8 @@ class Flag:
     ``range`` (N or LO:HI), ``qubits`` (a list such as 0,1), ``choice``,
     ``flag`` (on/off; true|false in a config file) or ``text`` (parsed by
     the subcommand, e.g. an observable spec).  ``lo`` bounds every integer
-    an int, range or qubits value holds.  ``key`` is the config-file key and
-    the key of the parsed value."""
+    an int, range or qubits value holds, ``hi`` an int.  ``key`` is the
+    config-file key and the key of the parsed value."""
 
     name: str
     default: object = None
@@ -85,6 +80,7 @@ class Flag:
     help: Optional[str] = None
     choices: tuple = ()
     key: str = ""
+    hi: Optional[int] = None
 
     def __post_init__(self):
         if not self.key:
@@ -106,13 +102,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _as_int(x, name: str, lo: Optional[int] = None) -> int:
+def _as_int(x, name: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
     try:
         v = int(str(x), 10)
     except ValueError as exc:
         raise ConfigError(f"{name} must be an integer, got {x!r}") from exc
     if lo is not None and v < lo:
         raise ConfigError(f"{name} must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {v}")
     return v
 
 
@@ -139,7 +137,7 @@ def _parse(flag: Flag, raw):
     if raw is None or flag.kind in ("text", "choice", "flag"):
         return raw
     if flag.kind == "int":
-        return _as_int(raw, flag.name, flag.lo)
+        return _as_int(raw, flag.name, flag.lo, flag.hi)
     if flag.kind == "range":
         return _parse_range(raw, flag.name, flag.lo)
     qubits = tuple(_as_int(t, flag.name, flag.lo) for t in str(raw).replace(",", " ").split())
@@ -374,20 +372,18 @@ def run_variance(v: dict) -> Report:
         if cost == "fixed":
             vq = VarianceQuery(case, n, D, d, g, o, delta)
             analytic_val = variance_formula(vq, cc)
-            eps_val, eps_prov, eps_se = epsilon(o, d), "analytic", None
             o_builder = o
         else:
             o_builder = functools.partial(target_observables, cost, n)
             cc, analytic_val = None, None
-            eps_est, _ = haar_avg_epsilon_mc(cost, n, samples, seed, workers)
-            eps_val, eps_prov, eps_se = eps_est.mean, "empirical", eps_est.stderr_mean
-        r = grad_variance_mps(case, n, D, d, delta, o_builder, g, {"partner": partner}, samples, seed, workers)
-        rows.append([n, r.variance, r.stderr_variance, analytic_val, eps_val, samples, seed])
+        r, eps = grad_variance_mps(case, n, D, d, delta, o_builder, g, {"partner": partner}, samples, seed, workers)
+        eps = _tagged(epsilon(o, d), "analytic") if eps is None else _tagged(eps.mean, "empirical", eps.stderr_mean)
+        rows.append([n, r.variance, r.stderr_variance, analytic_val, eps["value"], samples, seed])
         point = {
             "n": n,
             "mean": _tagged(r.mean, "empirical", r.stderr_mean, r.samples),
             "var_emp": _tagged(r.variance, "empirical", r.stderr_variance, r.samples),
-            "epsilon": _tagged(eps_val, eps_prov, eps_se),
+            "epsilon": eps,
             "excluded": r.excluded,
         }
         if analytic_val is not None:
@@ -566,7 +562,7 @@ def _common(samples: str) -> list[Flag]:
     return [
         Flag("--config", help="key=value config file; flags override it"),
         Flag("--seed", kind="int", lo=0, help="master seed (default: PLATEAU_SEED or 0)"),
-        Flag("--samples", samples, "int", 2, "Monte-Carlo sample count"),
+        Flag("--samples", samples, "int", 2, "Monte-Carlo sample count", hi=MAX_SAMPLES),
         Flag("--out", help="write output to this path instead of stdout"),
     ]
 
@@ -598,10 +594,10 @@ _COMMANDS = {
         Flag("--n", "2:6", "range", 2, "site count N or range LO:HI"),
         Flag("--D", "2", "int", 1, "bond dimension"),
         Flag("--d", "2", "int", 2, "physical dimension"),
-        Flag("--delta", "1", "int", help="derivative-to-observable distance (off-site cases)"),
+        Flag("--delta", "1", "int", 1, "derivative-to-observable distance (off-site cases)"),
         Flag("--generator", "gue:0", help="gue:SEED, pauli:XY.., zero"),
         Flag("--partner-ensemble", "haar", "choice", choices=("haar", "pauli")),
-        Flag("--const-samples", "10000", "int", 2, "samples for constant estimates"),
+        Flag("--const-samples", "10000", "int", 2, "samples for constant estimates", hi=MAX_SAMPLES),
         _WORKERS,
         _TABLE_FORMAT,
         _VERIFY,

@@ -8,12 +8,13 @@ values of the diagonal observables
     O_xent = -sum_x ln[p(V,x)] |x><x|
 
 on the first site.  epsilon(O) = Tr(O^2) - Tr(O)^2 / d is the scale that
-controls every gradient variance downstream.
+controls every gradient variance downstream, computed only by ``epsilon``.
 
 Over Haar targets they come from one place, ``target_observables``: a
 (B, 2, 2) stack, one target per stream, with a NaN diagonal where an xent
-target hits the log floor.  The gradient sampler and the epsilon average
+target hits the log floor.  The Monte-Carlo estimators of module ``mc``
 read it; ``observable_xeb`` and ``observable_xent`` are its references.
+Only ``linalg`` is imported here, so ``mc`` can import this module.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import haar_state, haar_state_from_gaussian
-from .mc import EstimateResult, estimate_columns
 
 P_FLOOR = 1e-30
 
@@ -68,31 +68,35 @@ def p_first_qubit(v, n: int) -> np.ndarray:
     return np.array([p0 / tot, 1.0 - p0 / tot])
 
 
-def epsilon(o, d: int) -> float:
-    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d."""
-    if o.shape != (d, d):
+def epsilon(o, d: int):
+    """Squared HS distance of O from its trace part, Tr(O²) − Tr(O)²/d: a float
+    for one matrix, for a stack o[..., d, d] the per-matrix values (NaN kept)."""
+    if o.shape[-2:] != (d, d):
         raise ValueError(f"observable must be {d}x{d}")
-    t1 = np.trace(o).real
-    t2 = np.trace(o @ o).real
-    return max(float(t2 - t1 * t1 / d), 0.0)
+    t1 = np.trace(o, axis1=-2, axis2=-1).real
+    t2 = np.trace(o @ o, axis1=-2, axis2=-1).real
+    eps = np.maximum(t2 - t1 * t1 / d, 0.0)
+    return float(eps) if o.ndim == 2 else eps
 
 
-def _clamp(p: float, context: str) -> tuple[float, bool]:
-    if p < P_FLOOR:
-        warnings.warn(f"{context}: probability clamped to {P_FLOOR:g}", ClampWarning)
-        return P_FLOOR, True
-    return p, False
+def _neg_logs(p, context: str) -> tuple[list, bool]:
+    """-ln p(x) of both outcomes, each p(x) below the log floor raised to it
+    with a ClampWarning, and whether one was."""
+    logs, clamped = [], False
+    for px in p:
+        if px < P_FLOOR:
+            warnings.warn(f"{context}: probability clamped to {P_FLOOR:g}", ClampWarning)
+            px, clamped = P_FLOOR, True
+        logs.append(-np.log(px))
+    return logs, clamped
 
 
 def cross_entropy(q, p) -> float:
     """-sum_x q(x) ln p(x) of two (2,) distributions, with p clamped away
     from zero."""
     q, p = _check_probs(q), _check_probs(p)
-    total = 0.0
-    for x in range(2):
-        px, _ = _clamp(p[x], "cross_entropy")
-        total -= q[x] * np.log(px)
-    return total
+    logs, _ = _neg_logs(p, "cross_entropy")
+    return q[0] * logs[0] + q[1] * logs[1]
 
 
 def linear_xeb(p, q) -> float:
@@ -110,24 +114,14 @@ def observable_xeb(v, n: int) -> np.ndarray:
 def observable_xent(v, n: int) -> tuple[np.ndarray, bool]:
     """(O_xent, clamped): O_xent = diag(-ln p(V, x)), 2 x 2, and whether a
     probability hit the log floor."""
-    p = p_first_qubit(v, n)
-    clamped = False
-    diag = []
-    for x in range(2):
-        px, hit = _clamp(p[x], "observable_xent")
-        clamped = clamped or hit
-        diag.append(-np.log(px))
+    diag, clamped = _neg_logs(p_first_qubit(v, n), "observable_xent")
     return np.diag(diag), clamped
 
 
 def trace_oe_sq(v, n: int) -> float:
     """Tr(O_xent²) = sum_x ln[p(V,x)]² (clamped)."""
-    p = p_first_qubit(v, n)
-    total = 0.0
-    for x in range(2):
-        px, _ = _clamp(p[x], "trace_oe_sq")
-        total += np.log(px) ** 2
-    return total
+    logs, _ = _neg_logs(p_first_qubit(v, n), "trace_oe_sq")
+    return logs[0] ** 2 + logs[1] ** 2
 
 
 def haar_avg_epsilon_xeb_closed(n: int) -> float:
@@ -168,33 +162,3 @@ def target_observables(kind, n: int, rngs: Sequence[np.random.Generator]) -> np.
     obs = np.zeros((len(rngs), 2, 2))
     obs[:, [0, 1], [0, 1]] = diag
     return obs
-
-
-def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int,
-                        workers: int = 1) -> tuple[EstimateResult, Optional[EstimateResult]]:
-    """Sample means of epsilon(O_kind(V)) and of Tr(O_xent(V)²) over Haar targets.
-
-    Only the state V|0...0> enters, so targets are drawn as Haar states,
-    through ``target_observables``, and both estimates read the same draws.
-    The second is None for xeb: O_xeb has trace zero, so its Tr(O²) is
-    epsilon itself.  A clamped xent target is excluded from both (its count
-    lands in each result's ``excluded`` field).
-    """
-    kind = CostKind(kind)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xent = kind is CostKind.CROSS_ENTROPY
-
-    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        v = np.diagonal(target_observables(kind, n, rngs), axis1=1, axis2=2)
-        t1 = v[:, 0] + v[:, 1]
-        columns = [np.maximum(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - t1 * t1 / 2, 0.0)]
-        if xent:
-            # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
-            # round differently in the last place on some inputs
-            sq = np.array([math.pow(x, 2) for x in v.ravel().tolist()]).reshape(v.shape)
-            columns.append(sq[:, 0] + sq[:, 1])
-        return np.stack(columns, axis=1)
-
-    results = estimate_columns(sampler, 1 + xent, samples, seed, workers)
-    return results if xent else (results[0], None)

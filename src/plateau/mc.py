@@ -19,7 +19,9 @@ index and returns one ``EstimateResult``.  ``estimate_columns`` takes a
 sampler that returns a (B, k) array, k quantities read from the same draws,
 and returns a tuple of k results: each column is reduced alone, exactly as
 ``estimate`` reduces a one-value sampler, so a command that needs several
-quantities draws its streams once.
+quantities draws its streams once.  ``grad_variance_mps`` and
+``haar_avg_epsilon_mc`` return a pair whose second result is None where
+that quantity is exact: a fixed O's epsilon, an xeb target's Tr(O²).
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ import numpy as np
 
 from .linalg import UnitaryGate, check_hermitian, haar_from_ginibre, haar_unitary
 from .ansatz import grad_ring
+from .costs import CostKind, epsilon, target_observables
 
 JACKKNIFE_BLOCKS = 100
+MAX_SAMPLES = 2**32  # one spawn-key word per index
 # indices per sampler call; a constant, so that batch boundaries, and with
 # them every sampled value, never depend on the worker count
 BATCH = 32
@@ -245,7 +249,7 @@ def _draw_and_reduce(sampler: Sampler, width: tuple, samples: int, seed: int,
     of ``estimate``, then its reduction on each column alone."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if samples > 2**32:
+    if samples > MAX_SAMPLES:
         raise ValueError("samples must be <= 2**32 (one spawn-key word per index)")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -390,7 +394,7 @@ def grad_variance_mps(
     samples: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-) -> EstimateResult:
+) -> tuple[EstimateResult, Optional[EstimateResult]]:
     """Empirical gradient statistics for one of the six sampling geometries.
 
     Per sample: take the observable, draw the derivative site's
@@ -411,6 +415,10 @@ def grad_variance_mps(
     evaluated together by ``ansatz.grad_ring``, bitwise equal to
     ``grad_site`` per sample.  g and a fixed observable are checked
     Hermitian here, once; a built stack is only checked for its shape.
+
+    Returns (grad, eps): eps estimates epsilon(O, d) of each index's built
+    observable, a second column on the same draws (a NaN O is excluded from
+    both), or is None for a fixed O, whose epsilon is exact.
     """
     case = VarianceCase(case)
     if n < 2:
@@ -445,9 +453,41 @@ def grad_variance_mps(
         obs = fixed_o if build is None else _shaped(build(rngs), (len(rngs), d, d))
         u_minus, u_plus, *others = draw_unitaries(specs, rngs, build)
         gate = u_minus @ u_plus
-        return grad_ring((u_minus @ minus_ig) @ u_plus, gate, np.stack(others, axis=1), obs, site_m, D, d)
+        grad = grad_ring((u_minus @ minus_ig) @ u_plus, gate, np.stack(others, axis=1), obs, site_m, D, d)
+        return np.stack([grad] if build is None else [grad, epsilon(obs, d)], axis=1)
 
-    return estimate(sampler, samples, seed, workers)
+    results = estimate_columns(sampler, 1 if build is None else 2, samples, seed, workers)
+    return (results[0], None) if build is None else results
+
+
+def haar_avg_epsilon_mc(kind, n: int, samples: int, seed: int,
+                        workers: int = 1) -> tuple[EstimateResult, Optional[EstimateResult]]:
+    """Sample means of epsilon(O_kind(V)) and of Tr(O_xent(V)²) over Haar targets.
+
+    Only the state V|0...0> enters, so targets are drawn as Haar states,
+    through ``costs.target_observables``, and both estimates read the same
+    draws.  The second is None for xeb: O_xeb has trace zero, so its Tr(O²)
+    is epsilon itself.  A clamped xent target is excluded from both (its
+    count lands in each result's ``excluded`` field).
+    """
+    kind = CostKind(kind)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    xent = kind is CostKind.CROSS_ENTROPY
+
+    def sampler(indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        obs = target_observables(kind, n, rngs)
+        columns = [epsilon(obs, 2)]
+        if xent:
+            # libm pow, as np.float64 ** 2 uses; numpy's vector pow and x * x
+            # round differently in the last place on some inputs
+            v = np.diagonal(obs, axis1=1, axis2=2)
+            sq = np.array([math.pow(x, 2) for x in v.ravel().tolist()]).reshape(v.shape)
+            columns.append(sq[:, 0] + sq[:, 1])
+        return np.stack(columns, axis=1)
+
+    results = estimate_columns(sampler, 1 + xent, samples, seed, workers)
+    return results if xent else (results[0], None)
 
 
 def _shaped(o, shape: tuple):

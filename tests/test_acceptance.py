@@ -29,7 +29,6 @@ from plateau.circuit import brick_supports, circuit_variance_mc, LayeredCircuit
 from plateau.costs import (
     CostKind,
     epsilon,
-    haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
     target_observables,
 )
@@ -38,7 +37,7 @@ from plateau.linalg import (
     haar_unitary,
     pauli_string,
 )
-from plateau.mc import estimate, grad_variance_mps
+from plateau.mc import estimate, grad_variance_mps, haar_avg_epsilon_mc
 from plateau.twirl import (
     DesignConstants,
     PermLabel,
@@ -89,7 +88,7 @@ def test_criterion_1_weingarten_identities():
 
 def test_criterion_2_zero_mean_gradient():
     start = time.time()
-    r = grad_variance_mps(
+    r, _ = grad_variance_mps(
         "onsite-both", n=4, D=2, d=2, delta=None,
         o_builder=Z, g=ZI, samples=10_000, seed=3,
     )
@@ -109,7 +108,7 @@ def test_criterion_3_variance_matches_closed_form():
         for n in (2, 4, 6):
             vq = VarianceQuery(VarianceCase.ONSITE_BOTH, n, 2, 2, ZI, o)
             want = variance_formula(vq, cc)
-            r = grad_variance_mps(
+            r, _ = grad_variance_mps(
                 "onsite-both", n=n, D=2, d=2, delta=None,
                 o_builder=o, g=ZI,
                 samples=10_000, seed=100 + n,
@@ -143,7 +142,7 @@ def test_criterion_5_xeb_decay_slope():
     ns = np.arange(4, 11)
     log_vars = []
     for n in ns:
-        r = grad_variance_mps(
+        r, _ = grad_variance_mps(
             "onsite-both", n=int(n), D=2, d=2, delta=None,
             o_builder=functools.partial(target_observables, "xeb", int(n)),
             g=ZI, samples=10_000, seed=5,
@@ -251,11 +250,11 @@ def test_criterion_9_reproducibility():
             base.mean, base.variance, base.stderr_mean, base.stderr_variance,
             base.excluded,
         )
-    a = grad_variance_mps(
+    a, _ = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
         o_builder=Z, g=ZI, samples=2000, seed=13, workers=1,
     )
-    b = grad_variance_mps(
+    b, _ = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
         o_builder=Z, g=ZI, samples=2000, seed=13, workers=4,
     )

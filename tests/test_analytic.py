@@ -272,7 +272,7 @@ def test_formula_tracks_monte_carlo_gradient():
     cc = CConstants(c4=closed(32.0))
     vq = query(VarianceCase.ONSITE_BOTH, 3)
     want = variance_formula(vq, cc)
-    r = grad_variance_mps(
+    r, _ = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None,
         o_builder=Z, g=ZI, samples=4000, seed=19,
     )

@@ -123,10 +123,14 @@ def test_mps_sampler_matches_per_sample(batched_values, case, partner, builder):
     o = xeb_builder(3) if builder == "callable" else gue_hermitian(d, np.random.default_rng(6))
     o_batch = functools.partial(target_observables, "xeb", 3) if builder == "callable" else o
     spec = {"haar": EnsembleSpec.haar, "pauli": EnsembleSpec.pauli_group}[partner](D * d)
-    (got,) = batched_values(mc, lambda: grad_variance_mps(
+    got, *eps = batched_values(mc, lambda: grad_variance_mps(
         case, n, D, d, delta, o_batch, g, {"partner": spec}, samples=SAMPLES, seed=seed))
     want = mps_oracle(case, n, D, d, delta, o, g, spec, EnsembleSpec.haar(D * d), seed, SAMPLES)
     assert_bitwise(got, want)
+    if builder == "callable":  # the epsilon column reads the same observables
+        assert_bitwise(eps[0], [epsilon(o(_sample_rng(seed, k)), d) for k in range(SAMPLES)])
+    else:
+        assert eps == []
 
 
 @pytest.mark.parametrize("case,D,d,n,delta", [
@@ -139,7 +143,7 @@ def test_mps_sampler_matches_per_sample_other_dims(batched_values, case, D, d, n
     g = gue_hermitian(D * d, np.random.default_rng(1))
     builder = gue_builder(d)
     sites = EnsembleSpec.pauli_group(D * d) if D == 3 else EnsembleSpec.haar(D * d)
-    (got,) = batched_values(mc, lambda: grad_variance_mps(
+    got, _ = batched_values(mc, lambda: grad_variance_mps(
         case, n, D, d, delta, stacked(builder), g, {"sites": sites}, samples=SAMPLES, seed=seed))
     want = mps_oracle(case, n, D, d, delta, builder, g, EnsembleSpec.haar(D * d), sites, seed, SAMPLES)
     assert_bitwise(got, want)
@@ -182,14 +186,14 @@ def epsilon_oracle(kind, n, seed, samples):
 @pytest.mark.parametrize("kind", ["xeb", "xent"])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_haar_epsilon_matches_per_sample(batched_values, kind, n):
-    runs = batched_values(costs, lambda: costs.haar_avg_epsilon_mc(kind, n, SAMPLES, seed=n))
+    runs = batched_values(mc, lambda: mc.haar_avg_epsilon_mc(kind, n, SAMPLES, seed=n))
     assert len(runs) == (2 if kind == "xent" else 1)  # xent adds Tr(O²) on the same draws
     assert_bitwise(runs[0], epsilon_oracle(kind, n, n, SAMPLES))
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_trace_oe_sq_matches_per_sample(batched_values, n):
-    _, got = batched_values(costs, lambda: costs.haar_avg_epsilon_mc("xent", n, SAMPLES, seed=2))
+    _, got = batched_values(mc, lambda: mc.haar_avg_epsilon_mc("xent", n, SAMPLES, seed=2))
     want = []
     for k in range(SAMPLES):
         p = p_first_qubit(haar_state(2**n, _sample_rng(2, k)), n)
@@ -231,6 +235,21 @@ def test_circuit_sampler_matches_per_sample(batched_values, n_qubits, supports, 
         assert_bitwise(got, circuit_oracle(n_qubits, supports, obs_layer, layer, v, o, a, 6, SAMPLES))
 
 
+@pytest.mark.parametrize("kind", ["xeb", "xent"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_gradient_epsilon_is_the_haar_target_average(kind, workers):
+    # the epsilon read off the gradient sampler's own observables is, field
+    # by field, the Haar-target average drawn alone at the same seed
+    build = functools.partial(target_observables, kind, 3)
+    _, eps = grad_variance_mps("onsite-minus", 3, 2, 2, None, build, pauli_string("ZI"),
+                               samples=SAMPLES, seed=9, workers=workers)
+    want, _ = mc.haar_avg_epsilon_mc(kind, 3, SAMPLES, seed=9, workers=workers)
+    assert fields(eps) == fields(want)
+    # a fixed observable's epsilon is exact: nothing is estimated for it
+    assert grad_variance_mps("onsite-minus", 3, 2, 2, None, pauli_string("Z"), pauli_string("ZI"),
+                             samples=SAMPLES, seed=9, workers=workers)[1] is None
+
+
 # ---------------------------------------------------------------------------
 # batching and redraws
 
@@ -240,9 +259,9 @@ def fields(r):
 
 
 @pytest.mark.parametrize("run", [
-    lambda w: (grad_variance_mps("onsite-both", 3, 2, 2, None, functools.partial(target_observables, "xeb", 2),
-                                 pauli_string("ZI"), samples=BATCH + 3, seed=5, workers=w),),
-    lambda w: costs.haar_avg_epsilon_mc("xent", 3, BATCH + 3, seed=5, workers=w),
+    lambda w: grad_variance_mps("onsite-both", 3, 2, 2, None, functools.partial(target_observables, "xeb", 2),
+                                pauli_string("ZI"), samples=BATCH + 3, seed=5, workers=w),
+    lambda w: mc.haar_avg_epsilon_mc("xent", 3, BATCH + 3, seed=5, workers=w),
     lambda w: circuit.circuit_variance_mc(
         LayeredCircuit(4, tuple((np.eye(4), s) for s in brick_supports(4, 2)), 3),
         1, pauli_string("ZZ"), [pauli_string("Z"), pauli_string("X")], (0,), samples=BATCH + 3, seed=5, workers=w),
@@ -280,7 +299,7 @@ def test_rank_deficient_redraw_replays_the_target_builder(batched_values, monkey
     n, D, d, seed = 3, 2, 2, 1
     g = pauli_string("ZI")
     build = functools.partial(target_observables, "xeb", 4)
-    (got,) = batched_values(mc, lambda: grad_variance_mps(
+    got, _ = batched_values(mc, lambda: grad_variance_mps(
         "onsite-both", n, D, d, None, build, g, samples=SAMPLES, seed=seed))
     assert len(redrawn) == 2
     want = mps_oracle("onsite-both", n, D, d, None, xeb_builder(4), g, None, EnsembleSpec.haar(D * d), seed, SAMPLES)
@@ -314,7 +333,7 @@ def test_target_observables_match_per_sample(kind, n, seed, start, count):
 
 def test_clamped_targets_are_excluded_by_every_consumer(monkeypatch):
     # a raised log floor clamps about a tenth of the one-qubit targets; each
-    # gets a NaN diagonal, and all three consumers exclude the same indices
+    # gets a NaN diagonal, and all four consumers exclude the same indices
     monkeypatch.setattr(costs, "P_FLOOR", 0.05)
     seed = 3
     rngs = [_sample_rng(seed, k) for k in range(SAMPLES)]
@@ -324,26 +343,31 @@ def test_clamped_targets_are_excluded_by_every_consumer(monkeypatch):
     clamped = int(np.isnan(got[:, 0, 0]).sum())
     assert clamped > 0
     build = functools.partial(target_observables, "xent", 1)
-    for r in (*costs.haar_avg_epsilon_mc("xent", 1, SAMPLES, seed),
-              grad_variance_mps("onsite-both", 2, 1, 2, None, build, pauli_string("Z"), samples=SAMPLES, seed=seed)):
+    eps, trace_sq = mc.haar_avg_epsilon_mc("xent", 1, SAMPLES, seed)
+    grad, grad_eps = grad_variance_mps("onsite-both", 2, 1, 2, None, build, pauli_string("Z"), samples=SAMPLES, seed=seed)
+    for r in (eps, trace_sq, grad, grad_eps):
         assert r.excluded == clamped
+    assert fields(grad_eps) == fields(eps)
 
 
 # ---------------------------------------------------------------------------
 # one pass per command: every estimate of a command reads one set of draws
 
 
-def counting(monkeypatch, module, name):
+def counting(monkeypatch, name, *modules):
+    """Count the calls of ``name`` made through any of ``modules`` that binds it."""
     calls = []
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    real = getattr(modules[0], name)
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
 
 
 def test_circuit_command_draws_each_batch_once(monkeypatch, capsys):
     from plateau import cli
 
-    calls = counting(monkeypatch, circuit, "draw_unitaries")
+    calls = counting(monkeypatch, "draw_unitaries", circuit)
     samples = 3 * BATCH + 4
     assert cli.main(["circuit", "--qubits", "4", "--layers", "2", "--samples", str(samples), "--seed", "1"]) == 0
     assert capsys.readouterr().out.count("\n") == 8  # five observables read the draws
@@ -353,15 +377,27 @@ def test_circuit_command_draws_each_batch_once(monkeypatch, capsys):
 def test_xent_epsilon_command_draws_each_target_once(monkeypatch):
     from plateau import cli
 
-    calls = counting(monkeypatch, costs, "target_observables")
+    calls = counting(monkeypatch, "target_observables", mc)
     samples = 2 * BATCH + 1
     assert cli.main(["haar-epsilon", "--cost", "xent", "--n", "2:4", "--samples", str(samples)]) == 0
     assert len(calls) == 3 * -(-samples // BATCH)
 
 
+@pytest.mark.parametrize("cost", ["xeb", "xent"])
+def test_variance_command_draws_each_target_once(monkeypatch, cost):
+    # the gradient sampler's observables give the epsilon column too, so no
+    # second pass draws the targets again
+    from plateau import cli
+
+    calls = counting(monkeypatch, "target_observables", cli, costs, mc)
+    samples = 2 * BATCH
+    assert cli.main(["variance", "--cost", cost, "--n", "4:5", "--samples", str(samples)]) == 0
+    assert len(calls) == 2 * -(-samples // BATCH)
+
+
 @pytest.mark.parametrize("case", [VarianceCase.ONSITE_MINUS, VarianceCase.ONSITE_PLUS])
 def test_constants_draw_each_batch_once(monkeypatch, case):
-    calls = counting(monkeypatch, analytic, "draw_unitaries")
+    calls = counting(monkeypatch, "draw_unitaries", analytic)
     cc = c_constants_mc(case, pauli_string("ZI"), pauli_string("Z"), 2, 2, samples=SAMPLES, seed=3)
     assert all(getattr(cc, name) is not None for name in analytic.CASE_CONSTANTS[case])
     assert len(calls) == -(-SAMPLES // BATCH)

@@ -236,6 +236,14 @@ def test_config_verify_is_honoured(tmp_path):
     # a target-derived cost holds 2**n amplitudes per target: n is capped before any compute
     (["haar-epsilon", "--n", "40", "--samples", "4"], "--n must be <= 12 for a target-derived cost, got 40"),
     (["variance", "--cost", "xent", "--n", "2:13"], "--n must be <= 12 for a target-derived cost, got 13"),
+    # an on-site case does not use --delta, but a given value is still checked
+    (["variance", "--case", "onsite-both", "--delta", "-5"], "--delta must be >= 1, got -5"),
+    (["variance", "--case", "onsite-minus", "--delta", "0"], "--delta must be >= 1, got 0"),
+    # each index's stream takes one 32-bit spawn-key word: at most 2**32 samples
+    (["haar-epsilon", "--n", "1", "--samples", "4294967297"], "--samples must be <= 4294967296, got 4294967297"),
+    (["circuit", "--samples", "4294967297"], "--samples must be <= 4294967296, got 4294967297"),
+    (["variance", "--n", "2", "--samples", "4", "--const-samples", "4294967297"],
+     "--const-samples must be <= 4294967296, got 4294967297"),
 ])
 def test_bad_input_is_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -302,11 +310,12 @@ def test_numeric_flags_parse_within_bounds_or_name_the_flag(command, flag, raw):
         return
     if flag.kind == "int":
         assert isinstance(value, int)
-        low = value
+        low = high = value
     elif flag.kind == "range":
         assert len(value) >= 1 and value.step == 1
-        low = value[0]
+        low, high = value[0], value[-1]
     else:
         assert len(value) >= 1 and all(isinstance(q, int) for q in value)
-        low = min(value)
+        low, high = min(value), max(value)
     assert flag.lo is None or low >= flag.lo
+    assert flag.hi is None or high <= flag.hi

@@ -7,7 +7,6 @@ from plateau.costs import (
     CostKind,
     cross_entropy,
     epsilon,
-    haar_avg_epsilon_mc,
     haar_avg_epsilon_xeb_closed,
     linear_xeb,
     observable_xeb,
@@ -15,7 +14,8 @@ from plateau.costs import (
     p_first_qubit,
     trace_oe_sq,
 )
-from plateau.linalg import haar_state, haar_unitary
+from plateau.linalg import gue_hermitian, haar_state, haar_unitary
+from plateau.mc import haar_avg_epsilon_mc
 
 
 def rng_for(seed):
@@ -105,6 +105,27 @@ def test_epsilon_basics():
     assert epsilon(np.eye(3), 3) == 0.0
     assert epsilon(np.diag([1.0, -1.0]), 2) == pytest.approx(2.0)
     assert epsilon(np.diag([1.0, 0.0]), 2) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_epsilon_of_a_stack_is_the_per_matrix_value(d):
+    rng = rng_for(d)
+    # complex and real non-diagonal Hermitian stacks, of one and of two leading axes
+    gue = np.stack([gue_hermitian(d, rng) * rng.uniform(0.1, 50.0) for _ in range(24)])
+    sym = rng.standard_normal((24, d, d))
+    for stack in (gue, sym + np.swapaxes(sym, 1, 2), gue.reshape(4, 6, d, d)):
+        got = epsilon(stack, d)
+        assert got.shape == stack.shape[:-2]
+        want = np.array([epsilon(o, d) for o in stack.reshape(-1, d, d)])
+        assert got.ravel().tobytes() == want.tobytes()
+    nan_row = np.eye(d)
+    nan_row[0, 0] = np.nan
+    got = epsilon(np.stack([gue[0], nan_row]), d)
+    assert got[0] == epsilon(gue[0], d)
+    assert np.isnan(got[1])
+    assert type(epsilon(gue[0], d)) is float
+    with pytest.raises(ValueError):
+        epsilon(np.zeros((3, d + 1, d + 1)), d)
 
 
 def test_cost_is_linear_in_observable():

@@ -272,7 +272,7 @@ def test_pauli_group_is_exact_one_design():
 def test_grad_variance_zero_mean_onsite():
     o = pauli_string("Z")
     g = pauli_string("ZI")
-    r = grad_variance_mps(
+    r, _ = grad_variance_mps(
         "onsite-both", n=3, D=2, d=2, delta=None, o_builder=o, g=g,
         samples=4000, seed=10,
     )
@@ -285,7 +285,7 @@ def test_grad_variance_accepts_all_cases():
     g = pauli_string("ZI")
     for case in [c.value for c in VarianceCase]:
         delta = 1 if case.startswith("offsite") else None
-        r = grad_variance_mps(
+        r, _ = grad_variance_mps(
             case, n=3, D=2, d=2, delta=delta, o_builder=o, g=g,
             samples=200, seed=0,
         )
@@ -297,8 +297,8 @@ def test_grad_variance_worker_determinism():
     g = pauli_string("ZI")
     kw = dict(n=3, D=2, d=2, delta=None, o_builder=o, g=g,
               samples=1500, seed=21)
-    a = grad_variance_mps("onsite-both", **kw, workers=1)
-    b = grad_variance_mps("onsite-both", **kw, workers=4)
+    a, _ = grad_variance_mps("onsite-both", **kw, workers=1)
+    b, _ = grad_variance_mps("onsite-both", **kw, workers=4)
     assert fields(a) == fields(b)
 
 
